@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import datasets
-from .combinatorial import DirectionBudget
 from .core import check_postulates
 from .dataio import Dataset, load_dataset, load_curves
 from .errors import DepthKitError, InvalidAlphaError
@@ -191,9 +190,7 @@ def _cmd_fdepth(args) -> int:
             return graph_depth(curve, sample, base_depth=args.base,
                                t_indices=t_indices, options=opts)
         return grid_depth(curve, sample, t_indices=t_indices,
-                          base_depth=args.base,
-                          budget=DirectionBudget(args.directions, args.seed),
-                          options=opts)
+                          base_depth=args.base, options=opts)
 
     if args.index is not None:
         if not 0 <= args.index < sample.n:

@@ -85,6 +85,20 @@ class DataCloud:
             raise ValueError("query point must be finite")
         return q
 
+    def points_of(self, zs) -> np.ndarray:
+        """Validate an (m, d) batch of query points; in d=1 a flat array of
+        m scalars is accepted as well."""
+        qs = np.asarray(zs, dtype=float)
+        if self.d == 1 and qs.ndim <= 1:
+            qs = qs.reshape(-1, 1)
+        if qs.ndim != 2 or qs.shape[1] != self.d:
+            raise DimensionMismatchError(
+                f"query batch has shape {qs.shape}, expected (m, {self.d})"
+            )
+        if not np.isfinite(qs).all():
+            raise ValueError("query points must be finite")
+        return qs
+
     def translated(self, b) -> "DataCloud":
         b = np.asarray(b, dtype=float).reshape(-1)
         return DataCloud(self.points + b, self.labels)

@@ -3,41 +3,24 @@
 Values are exact fractions of counts, so equal inputs give bitwise equal
 outputs.  The planar halfspace depth uses the angular sweep over critical
 directions; Tukey regions intersect the finitely many binding halfplanes;
-simplicial depth enumerates closed simplices.
+simplicial depth enumerates closed simplices, for a whole batch of queries
+at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .cloud import DataCloud
-from .core import clamp_depth
-from .errors import (
-    DimensionMismatchError,
-    EnumerationTooLargeError,
-    InvalidAlphaError,
-)
+from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
+from .core import clamp_depths, enumeration_size, in_chunks
+from .errors import DimensionMismatchError, InvalidAlphaError
 from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull
 from .lp import feasible
-from .rng import unit_directions
-
-SIMPLEX_ENUMERATION_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class DirectionBudget:
-    """Size and seed of a pseudo-random direction sample."""
-
-    count: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("direction count must be at least 1")
+from .rng import DEFAULT_OPTIONS, EvalOptions, unit_directions
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +76,7 @@ def halfspace_depth(z, cloud: DataCloud) -> float:
     )
 
 
-def halfspace_depth_many(zs: np.ndarray, cloud: DataCloud) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim == 1:
-        zs = zs.reshape(-1, cloud.d)
-    return np.array([halfspace_depth(z, cloud) for z in zs])
-
-
-def random_tukey_depth(z, cloud: DataCloud, budget: DirectionBudget = DirectionBudget()) -> float:
+def random_tukey_depth(z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Minimum univariate halfspace depth over seeded random directions.
 
     Never below the exact halfspace depth: every direction is a witness, so
@@ -108,7 +84,7 @@ def random_tukey_depth(z, cloud: DataCloud, budget: DirectionBudget = DirectionB
     budget grows with the same seed.
     """
     q = cloud.point_of(z)
-    dirs = unit_directions(cloud.d, budget.count, budget.seed)
+    dirs = unit_directions(cloud.d, options.budget, options.seed)
     # project the differences, not the raw coordinates: a query equal to a
     # data point keeps its exact zero row under translation and scaling
     proj = dirs @ (cloud.points - q).T
@@ -207,69 +183,83 @@ def halfspace_region(cloud: DataCloud, alpha: float) -> ConvexRegion:
 # ---------------------------------------------------------------------------
 
 
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+#: a query within this share of the cloud's extent of a triangle's boundary
+#: lies on it, and a triangle no higher than that is a segment
+_BOUNDARY_REL_TOL = 1e-12
 
 
-def _segment_contains(a, b, q, tol: float) -> bool:
-    lo = np.minimum(a, b) - tol
-    hi = np.maximum(a, b) + tol
-    return bool(np.all(q >= lo) and np.all(q <= hi))
-
-
-def _triangle_contains(a, b, c, q, tol: float) -> bool:
-    d1 = _orient(a, b, q)
-    d2 = _orient(b, c, q)
-    d3 = _orient(c, a, q)
-    area = _orient(a, b, c)
-    if area == 0.0:
-        # degenerate triangle: closed hull is a segment (or point)
-        if abs(d1) > tol or abs(d2) > tol or abs(d3) > tol:
-            return False
-        return (
-            _segment_contains(a, b, q, tol)
-            or _segment_contains(b, c, q, tol)
-            or _segment_contains(a, c, q, tol)
-        )
-    if area > 0.0:
-        return d1 >= 0.0 and d2 >= 0.0 and d3 >= 0.0
-    return d1 <= 0.0 and d2 <= 0.0 and d3 <= 0.0
-
-
-def simplicial_depth(z, cloud: DataCloud) -> float:
-    """Fraction of closed data simplices (d+1 vertices) containing z.
-
-    Exact enumeration; raises when the number of simplices exceeds the
-    enumeration cap.  Supported for d <= 4.
-    """
-    q = cloud.point_of(z)
-    n, d = cloud.n, cloud.d
-    if d > 4:
-        raise DimensionMismatchError("simplicial depth enumeration is limited to d <= 4")
-    if n < d + 1:
-        raise ValueError(f"need at least d+1={d + 1} points, got n={n}")
-    total = math.comb(n, d + 1)
-    if total > SIMPLEX_ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
-            f"C({n}, {d + 1}) = {total} simplices exceeds the cap {SIMPLEX_ENUMERATION_CAP}"
-        )
-    pts = cloud.points
+def _segments_containing(qs: np.ndarray, cloud: DataCloud, total: int) -> np.ndarray:
+    values = cloud.points[:, 0]
     tol = cloud.coord_tol
-    count = 0
-    if d == 1:
-        values = pts[:, 0]
-        zf = q[0]
-        less = int(np.count_nonzero(values < zf - tol))
-        more = int(np.count_nonzero(values > zf + tol))
+
+    def block(q):
+        less = np.count_nonzero(values < q - tol, axis=1)
+        more = np.count_nonzero(values > q + tol, axis=1)
         # a segment misses z exactly when both endpoints fall on one strict side
-        count = total - math.comb(less, 2) - math.comb(more, 2)
-        return clamp_depth(count / total)
-    if d == 2:
-        for i, j, k in combinations(range(n), 3):
-            if _triangle_contains(pts[i], pts[j], pts[k], q, tol):
-                count += 1
-        return clamp_depth(count / total)
-    for combo in combinations(range(n), d + 1):
+        return total - less * (less - 1) // 2 - more * (more - 1) // 2
+
+    return in_chunks(block, qs, 3 * values.size)
+
+
+def _triangles_containing(qs: np.ndarray, cloud: DataCloud) -> np.ndarray:
+    """Closed data triangles containing each query, counted over all triangles.
+
+    Orientation is tested in difference form, cross(b - a, q - a), with each
+    triangle's orientation sign folded into its edge vectors.  A query within
+    the boundary tolerance of an edge counts as on it.  A triangle no higher
+    than that tolerance over its longest edge is that edge, a segment (or a
+    point), and contains the queries within the tolerance of it.
+    """
+    pts = cloud.points
+    tri = np.array(list(combinations(range(cloud.n), 3)))
+    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+    area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    anchors = np.stack([a, b, c])
+    edges = np.stack([b - a, c - b, a - c])
+    lengths = np.linalg.norm(edges, axis=2)
+    tol = _BOUNDARY_REL_TOL * cloud.extent
+    flat = np.abs(area) <= tol * lengths.max(axis=0)
+
+    solid = ~flat
+    sign = np.where(area[solid] > 0.0, 1.0, -1.0)
+    s_anchor = anchors[:, solid]
+    s_edge = edges[:, solid] * sign[None, :, None]
+    s_floor = -tol * lengths[:, solid]
+    # the longest edge of a flat triangle spans its hull
+    flat_idx = np.flatnonzero(flat)
+    longest = np.argmax(lengths[:, flat_idx], axis=0)
+    f_start = anchors[longest, flat_idx]
+    f_edge = edges[longest, flat_idx]
+    f_len2 = np.sum(f_edge * f_edge, axis=1)
+    f_len2 = np.where(f_len2 > 0.0, f_len2, 1.0)
+
+    def block(q):
+        inside = np.ones((q.shape[0], s_edge.shape[1]), dtype=bool)
+        u = np.empty(inside.shape)
+        v = np.empty(inside.shape)
+        for p, e, floor in zip(s_anchor, s_edge, s_floor):
+            np.subtract(q[:, 1:2], p[:, 1], out=u)
+            u *= e[:, 0]
+            np.subtract(q[:, 0:1], p[:, 0], out=v)
+            v *= e[:, 1]
+            u -= v
+            inside &= u >= floor
+        count = inside.sum(axis=1)
+        if f_edge.shape[0]:
+            w = q[:, None, :] - f_start[None]
+            t = np.clip(np.sum(w * f_edge, axis=2) / f_len2, 0.0, 1.0)
+            off = w - t[:, :, None] * f_edge
+            count += np.count_nonzero(np.sum(off * off, axis=2) <= tol * tol, axis=1)
+        return count
+
+    return in_chunks(block, qs, 20 * s_edge.shape[1] + 64 * f_edge.shape[0])
+
+
+def _simplices_containing(q: np.ndarray, cloud: DataCloud) -> int:
+    pts = cloud.points
+    d = cloud.d
+    count = 0
+    for combo in combinations(range(cloud.n), d + 1):
         sub = pts[list(combo)]
         mat = np.vstack([sub.T, np.ones(d + 1)])
         rhs = np.concatenate([q, [1.0]])
@@ -281,48 +271,32 @@ def simplicial_depth(z, cloud: DataCloud) -> float:
             inside = feasible(mat, rhs)
         if inside:
             count += 1
-    return clamp_depth(count / total)
+    return count
 
 
-def simplicial_depth_many(zs: np.ndarray, cloud: DataCloud) -> np.ndarray:
-    """Vectorized planar simplicial depth for grids of query points.
+def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
+    """Fraction of closed data simplices (d+1 vertices) containing each row.
 
-    Sign tests per triangle edge carry a small relative slack: the expanded
-    cross product leaves ~ulp residuals when a query coincides with a vertex,
-    and those must count as inside to agree with the scalar path.
+    Exact enumeration; raises when the number of simplices exceeds the
+    enumeration cap.  Supported for d <= 4; d <= 2 is vectorised over the
+    queries.
     """
-    cloud.require_dim(2)
-    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
-    pts = cloud.points
-    n = cloud.n
-    total = math.comb(n, 3)
-    if total > SIMPLEX_ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
-            f"C({n}, 3) = {total} simplices exceeds the cap {SIMPLEX_ENUMERATION_CAP}"
-        )
-    tri = np.array(list(combinations(range(n), 3)))
-    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    ab, ac = b - a, c - a
-    area = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-    sign = np.where(area >= 0.0, 1.0, -1.0)
+    qs = cloud.points_of(zs)
+    n, d = cloud.n, cloud.d
+    if d > 4:
+        raise DimensionMismatchError("simplicial depth enumeration is limited to d <= 4")
+    if n < d + 1:
+        raise ValueError(f"need at least d+1={d + 1} points, got n={n}")
+    total = enumeration_size(n, d + 1)
+    if d == 1:
+        counts = _segments_containing(qs, cloud, total)
+    elif d == 2:
+        counts = _triangles_containing(qs, cloud)
+    else:
+        counts = np.array([_simplices_containing(q, cloud) for q in qs], dtype=float)
+    return clamp_depths(counts / total)
 
-    def edge_terms(p1, p2):
-        # cross(p2 - p1, z - p1) as coefficients (cx, cy, const) of z
-        ex = p2[:, 0] - p1[:, 0]
-        ey = p2[:, 1] - p1[:, 1]
-        const = ey * p1[:, 0] - ex * p1[:, 1]
-        return -ey, ex, const
 
-    terms = [edge_terms(a, b), edge_terms(b, c), edge_terms(c, a)]
-    scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(zs))) if zs.size else 0.0, 1.0)
-    slack = 1e-12 * scale * scale
-    out = np.empty(zs.shape[0])
-    chunk = max(1, int(2.0e6 // max(total, 1)))
-    for start in range(0, zs.shape[0], chunk):
-        block = zs[start:start + chunk]
-        inside = np.ones((block.shape[0], total), dtype=bool)
-        for cx, cy, const in terms:
-            val = block[:, 0:1] * cx[None, :] + block[:, 1:2] * cy[None, :] + const[None, :]
-            inside &= (val * sign[None, :]) >= -slack
-        out[start:start + chunk] = inside.sum(axis=1) / total
-    return out
+def simplicial_depth(z, cloud: DataCloud) -> float:
+    """Simplicial depth of one point, as a batch of one."""
+    return float(simplicial_depth_many(cloud.point_of(z)[None], cloud)[0])

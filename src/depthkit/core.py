@@ -11,18 +11,24 @@ of the region algorithms and is reported as such rather than sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .cloud import DataCloud
-from .errors import NestingViolationError
+from .errors import EnumerationTooLargeError, NestingViolationError
 from .geometry import ConvexRegion
 
 DepthEvaluator = Callable[[np.ndarray, DataCloud], float]
 
 _VARIANTS = {"affine": "D2", "isometric": "D2iso", "scale": "D2sca"}
+
+#: working set a batch kernel may hold for one chunk of query rows
+BATCH_BYTES = 16 * 2**20
+#: most simplices (or point subsets) a depth may enumerate per query
+SIMPLEX_ENUMERATION_CAP = 2_000_000
 
 
 def clamp_depth(value: float) -> float:
@@ -30,6 +36,40 @@ def clamp_depth(value: float) -> float:
     if not np.isfinite(value) or value < -1e-9 or value > 1.0 + 1e-9:
         raise ValueError(f"depth value out of range: {value}")
     return min(max(float(value), 0.0), 1.0)
+
+
+def clamp_depths(values: np.ndarray) -> np.ndarray:
+    """:func:`clamp_depth` of every entry of an array."""
+    if values.size:
+        lo, hi = values.min(), values.max()
+        # a NaN fails both comparisons
+        if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
+            raise ValueError(f"depth values out of range: min {lo}, max {hi}")
+    return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
+def in_chunks(block: Callable[[np.ndarray], np.ndarray], qs: np.ndarray,
+              row_bytes: int) -> np.ndarray:
+    """``block`` applied to consecutive row chunks of ``qs``, concatenated.
+
+    A chunk holds as many rows as fit ``BATCH_BYTES`` at ``row_bytes`` of
+    working set per row, and at least one.
+    """
+    rows = max(1, BATCH_BYTES // max(1, row_bytes))
+    out = np.empty(qs.shape[0])
+    for start in range(0, qs.shape[0], rows):
+        out[start:start + rows] = block(qs[start:start + rows])
+    return out
+
+
+def enumeration_size(n: int, k: int) -> int:
+    """C(n, k), refused above ``SIMPLEX_ENUMERATION_CAP``."""
+    total = math.comb(n, k)
+    if total > SIMPLEX_ENUMERATION_CAP:
+        raise EnumerationTooLargeError(
+            f"C({n}, {k}) = {total} simplices exceeds the cap {SIMPLEX_ENUMERATION_CAP}"
+        )
+    return total
 
 
 def outlyingness(depth: float) -> float:

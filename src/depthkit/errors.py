@@ -46,6 +46,10 @@ class EnumerationTooLargeError(DepthKitError):
     code = "TOO_LARGE"
 
 
+class IterationLimitError(DepthKitError):
+    code = "ITERATION_LIMIT"
+
+
 class UnknownDepthError(DepthKitError):
     code = "UNKNOWN_DEPTH"
 

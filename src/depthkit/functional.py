@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cloud import DataCloud
-from .combinatorial import DirectionBudget
 from .errors import (
     EmptyTimeSetError,
     NonlinearFunctionalError,
@@ -145,14 +144,14 @@ def graph_depth(z, sample: FunctionalSample, base_depth: str = "halfspace",
 def grid_depth(z, sample: FunctionalSample,
                t_indices: Sequence[int] | None = None,
                base_depth: str = "halfspace",
-               budget: DirectionBudget = DirectionBudget(),
                options: EvalOptions = DEFAULT_OPTIONS) -> float:
     """Minimum base depth over weighted time combinations of the curves.
 
     Each unit direction r over the chosen grid positions induces the map
     x -> sum_m r_m x(t_m), a d-vector per curve; the reported value is the
-    minimum over ``budget.count`` seeded directions plus the coordinate
-    axes, an upper bound on the infimum that decreases with the budget.
+    minimum over ``options.budget`` directions drawn with ``options.seed``
+    plus the coordinate axes, an upper bound on the infimum that decreases
+    with the budget.  The base depth is evaluated with the same options.
     """
     spec = _base_spec(base_depth)
     zc = sample.coerce_curve(z)
@@ -161,7 +160,7 @@ def grid_depth(z, sample: FunctionalSample,
     sub = sample.curves[:, idx, :]
     zsub = zc[idx, :]
     directions = np.vstack([np.eye(kp),
-                            unit_directions(kp, budget.count, budget.seed)])
+                            unit_directions(kp, options.budget, options.seed)])
     # the query rides through the same contraction as the sample so a curve
     # that coincides with a sample curve projects bitwise identically
     stacked = np.concatenate([sub, zsub[np.newaxis]], axis=0)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import IterationLimitError
+
 _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 
@@ -111,7 +113,7 @@ class _Tableau:
             basic_mask[entering] = True
             self.basis[best_row] = entering
             self.at_upper[entering] = False
-        raise RuntimeError("simplex iteration limit exceeded")
+        raise IterationLimitError(f"simplex iteration limit of {max_iter} exceeded")
 
 
 def solve_lp(c, a, b, upper=None, max_iter: int = 20000) -> LPResult:

@@ -4,19 +4,23 @@ All of them arise as (1 + Out(z))^-1 for an outlyingness Out measured with a
 plain or scatter-adjusted metric.  The scatter seam is
 :class:`ScatterEstimator`; the moment estimator (mean and covariance with
 divisor n) is the default and any affine-equivariant replacement plugs in.
+
+Each depth has one kernel, ``<depth>_many``, which validates a batch of
+queries and evaluates it in chunks under ``core.BATCH_BYTES``; the scalar
+form runs that kernel on a batch of one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
 
 from .cloud import DataCloud
-from .core import clamp_depth
+from .core import BATCH_BYTES, clamp_depths, enumeration_size, in_chunks
 from .errors import SingularScatterError, ZeroMadError
 from .geometry import ConvexRegion
 
@@ -60,31 +64,16 @@ def _moment_rule(cloud: DataCloud) -> tuple[np.ndarray, np.ndarray]:
 MOMENT = ScatterEstimator("moment", _moment_rule)
 
 
-class MNorm:
-    """Norm ||z||_M = sqrt(z' M^-1 z) for a symmetric positive definite M."""
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat.T``, summed term by term in a fixed order.
 
-    def __init__(self, m: np.ndarray):
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("M must be square")
-        try:
-            self._chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise SingularScatterError("M-norm matrix is not positive definite") from None
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __call__(self, z) -> float:
-        z = np.asarray(z, dtype=float).reshape(-1)
-        w = np.linalg.solve(self._chol, z)
-        return float(np.linalg.norm(w))
-
-    def of_rows(self, rows: np.ndarray) -> np.ndarray:
-        w = np.linalg.solve(self._chol, rows.T)
-        return np.linalg.norm(w, axis=0)
+    A BLAS product may round one row differently depending on how many rows
+    share the call; this sum does not, so a batch of one equals any batch.
+    """
+    out = rows[..., 0:1] * mat[:, 0]
+    for j in range(1, mat.shape[1]):
+        out += rows[..., j:j + 1] * mat[:, j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,40 +81,40 @@ class MNorm:
 # ---------------------------------------------------------------------------
 
 
-def l2_depth(z, cloud: DataCloud) -> float:
-    """(1 + mean Euclidean distance to the sample)^-1.
+def _mean_distance_depths(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    def block(q):
+        dist = np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2)
+        return 1.0 / (1.0 + dist.mean(axis=1))
+
+    return clamp_depths(in_chunks(block, qs, 24 * pts.size))
+
+
+def l2_depth_many(zs, cloud: DataCloud) -> np.ndarray:
+    """(1 + mean Euclidean distance to the sample)^-1 for each row of ``zs``.
 
     Invariant under rigid motions but deliberately not under general affine
     maps; see ``affine_invariant_l2_depth`` for the scatter-whitened form.
     """
-    q = cloud.point_of(z)
-    mean_dist = float(np.mean(np.linalg.norm(cloud.points - q, axis=1)))
-    return clamp_depth(1.0 / (1.0 + mean_dist))
+    return _mean_distance_depths(cloud.points_of(zs), cloud.points)
 
 
-def l2_depth_many(zs: np.ndarray, cloud: DataCloud) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
-    dists = np.linalg.norm(zs[:, None, :] - cloud.points[None, :, :], axis=2)
-    return 1.0 / (1.0 + dists.mean(axis=1))
+def l2_depth(z, cloud: DataCloud) -> float:
+    """L2 depth of one point: :func:`l2_depth_many` on a batch of one."""
+    return float(l2_depth_many(cloud.point_of(z)[None], cloud)[0])
+
+
+def affine_invariant_l2_depth_many(zs, cloud: DataCloud,
+                                   estimator: ScatterEstimator = MOMENT) -> np.ndarray:
+    """L2 depth in the metric of the estimated scatter, for each row of ``zs``."""
+    qs = cloud.points_of(zs)
+    _, _, chol = estimator.estimate(cloud)
+    white = np.linalg.inv(chol)
+    return _mean_distance_depths(_rows_times(qs, white), _rows_times(cloud.points, white))
 
 
 def affine_invariant_l2_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
-    """L2 depth in the metric of the estimated scatter."""
-    q = cloud.point_of(z)
-    _, _, chol = estimator.estimate(cloud)
-    w = np.linalg.solve(chol, (cloud.points - q).T)
-    mean_dist = float(np.mean(np.linalg.norm(w, axis=0)))
-    return clamp_depth(1.0 / (1.0 + mean_dist))
-
-
-def affine_invariant_l2_depth_many(zs: np.ndarray, cloud: DataCloud,
-                                   estimator: ScatterEstimator = MOMENT) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
-    _, _, chol = estimator.estimate(cloud)
-    white_pts = np.linalg.solve(chol, cloud.points.T).T
-    white_zs = np.linalg.solve(chol, zs.T).T
-    dists = np.linalg.norm(white_zs[:, None, :] - white_pts[None, :, :], axis=2)
-    return 1.0 / (1.0 + dists.mean(axis=1))
+    """Affine-invariant L2 depth of one point, as a batch of one."""
+    return float(affine_invariant_l2_depth_many(cloud.point_of(z)[None], cloud, estimator)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +122,18 @@ def affine_invariant_l2_depth_many(zs: np.ndarray, cloud: DataCloud,
 # ---------------------------------------------------------------------------
 
 
-def mahalanobis_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
-    """(1 + squared scatter distance to the center)^-1."""
-    q = cloud.point_of(z)
-    center, _, chol = estimator.estimate(cloud)
-    w = np.linalg.solve(chol, q - center)
-    return clamp_depth(1.0 / (1.0 + float(w @ w)))
-
-
-def mahalanobis_depth_many(zs: np.ndarray, cloud: DataCloud,
+def mahalanobis_depth_many(zs, cloud: DataCloud,
                            estimator: ScatterEstimator = MOMENT) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
+    """(1 + squared scatter distance to the center)^-1 for each row of ``zs``."""
+    qs = cloud.points_of(zs)
     center, _, chol = estimator.estimate(cloud)
-    w = np.linalg.solve(chol, (zs - center).T)
-    return 1.0 / (1.0 + np.sum(w * w, axis=0))
+    w = _rows_times(qs - center, np.linalg.inv(chol))
+    return clamp_depths(1.0 / (1.0 + np.sum(w * w, axis=1)))
+
+
+def mahalanobis_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
+    """Mahalanobis depth of one point, as a batch of one."""
+    return float(mahalanobis_depth_many(cloud.point_of(z)[None], cloud, estimator)[0])
 
 
 def mahalanobis_region(cloud: DataCloud, alpha: float,
@@ -181,11 +168,6 @@ def mahalanobis_region(cloud: DataCloud, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-def _median(values: np.ndarray) -> float:
-    # midpoint convention for even counts
-    return float(np.median(values))
-
-
 class ProjectionIndex:
     """Precomputed direction set plus per-direction location and spread.
 
@@ -193,7 +175,8 @@ class ProjectionIndex:
     augmented with ``budget`` seeded whitened random combinations with
     zero-sum coefficients.  Both families transform consistently under
     invertible linear maps and translations, making the approximate depth
-    exactly affine invariant (up to float noise) for a fixed seed.
+    exactly affine invariant (up to float noise) for a fixed seed.  In d=1
+    the single direction +1 makes the depth exact.
     """
 
     def __init__(self, cloud: DataCloud, budget: int, seed: int):
@@ -204,26 +187,29 @@ class ProjectionIndex:
         dev = pts - pts.mean(axis=0)
         scatter = dev.T @ dev / n
         try:
-            chol = np.linalg.cholesky(scatter)
+            np.linalg.cholesky(scatter)
         except np.linalg.LinAlgError:
             raise ZeroMadError(
                 "cloud spans a lower-dimensional flat: projections on its normal "
                 "have zero median absolute deviation"
             ) from None
-        iu, ju = np.triu_indices(n, k=1)
-        diffs = pts[iu] - pts[ju]
-        keep = np.linalg.norm(diffs, axis=1) > 1e-12
-        rng = np.random.default_rng(seed)
-        combos = np.empty((budget, d))
-        for k in range(budget):
-            g = rng.standard_normal(n)
-            g -= g.mean()
-            combos[k] = g @ pts
-        raw = np.vstack([diffs[keep], combos])
-        white = np.linalg.solve(scatter, raw.T).T
-        norms = np.linalg.norm(white, axis=1)
-        good = norms > 1e-12
-        dirs = white[good] / norms[good, None]
+        if d == 1:
+            dirs = np.ones((1, 1))
+        else:
+            iu, ju = np.triu_indices(n, k=1)
+            diffs = pts[iu] - pts[ju]
+            keep = np.linalg.norm(diffs, axis=1) > 1e-12
+            rng = np.random.default_rng(seed)
+            combos = np.empty((budget, d))
+            for k in range(budget):
+                g = rng.standard_normal(n)
+                g -= g.mean()
+                combos[k] = g @ pts
+            raw = np.vstack([diffs[keep], combos])
+            white = np.linalg.solve(scatter, raw.T).T
+            norms = np.linalg.norm(white, axis=1)
+            good = norms > 1e-12
+            dirs = white[good] / norms[good, None]
         proj = dirs @ pts.T
         med = np.median(proj, axis=1)
         mad = np.median(np.abs(proj - med[:, None]), axis=1)
@@ -236,38 +222,32 @@ class ProjectionIndex:
         self.mad = mad
 
     def outlyingness(self, zs: np.ndarray) -> np.ndarray:
-        proj = zs @ self.dirs.T
-        return np.max(np.abs(proj - self.med) / self.mad, axis=1)
+        """max over directions of |<p, z> - med| / mad, for each row of zs."""
+
+        def block(q):
+            return np.max(np.abs(_rows_times(q, self.dirs) - self.med) / self.mad, axis=1)
+
+        return in_chunks(block, zs, 24 * self.dirs.shape[0])
 
 
-def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: int = 0) -> float:
-    """(1 + sup over directions of |<p,z> - med| / medMAD)^-1.
+def projection_depth_many(zs, cloud: DataCloud,
+                          direction_budget: int = 1000, seed: int = 0) -> np.ndarray:
+    """(1 + sup over directions of |<p,z> - med| / medMAD)^-1 for each row.
 
     d=1 is exact.  For d >= 2 the supremum is approximated from above by a
     finite direction set, so the returned value is an upper bound on the true
     depth and weakly decreases as ``direction_budget`` grows with the same
     seed.
     """
-    q = cloud.point_of(z)
-    if cloud.d == 1:
-        values = cloud.points[:, 0]
-        med = _median(values)
-        mad = _median(np.abs(values - med))
-        if mad <= 0.0:
-            raise ZeroMadError("sample median absolute deviation is zero")
-        return clamp_depth(1.0 / (1.0 + abs(q[0] - med) / mad))
+    qs = cloud.points_of(zs)
     index = ProjectionIndex(cloud, direction_budget, seed)
-    out = float(index.outlyingness(q.reshape(1, -1))[0])
-    return clamp_depth(1.0 / (1.0 + out))
+    return clamp_depths(1.0 / (1.0 + index.outlyingness(qs)))
 
 
-def projection_depth_many(zs: np.ndarray, cloud: DataCloud,
-                          direction_budget: int = 1000, seed: int = 0) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
-    if cloud.d == 1:
-        return np.array([projection_depth(z, cloud) for z in zs])
-    index = ProjectionIndex(cloud, direction_budget, seed)
-    return 1.0 / (1.0 + index.outlyingness(zs))
+def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: int = 0) -> float:
+    """Projection depth of one point, as a batch of one."""
+    return float(projection_depth_many(cloud.point_of(z)[None], cloud,
+                                       direction_budget, seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,52 +255,53 @@ def projection_depth_many(zs: np.ndarray, cloud: DataCloud,
 # ---------------------------------------------------------------------------
 
 
-def _oja_expected_volume(q: np.ndarray, cloud: DataCloud) -> float:
-    """Mean volume of the simplex spanned by z and d points drawn i.i.d.
+def _oja_expected_volumes(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Mean volume of the simplex spanned by each query and d points drawn i.i.d.
 
     Tuples with a repeated index span a degenerate simplex of volume zero, so
     the expectation over the n^d ordered tuples reduces to a sum over the
     d-element subsets: each contributes |det(x_i - z)| / n^d.
     """
-    pts = cloud.points
     n, d = pts.shape
     if d == 1:
-        return float(np.mean(np.abs(pts[:, 0] - q[0])))
+        return in_chunks(lambda q: np.mean(np.abs(pts[:, 0] - q), axis=1), qs, 24 * n)
     if d == 2:
-        rel = pts - q
         iu, ju = np.triu_indices(n, k=1)
-        dets = rel[iu, 0] * rel[ju, 1] - rel[iu, 1] * rel[ju, 0]
-        return float(np.sum(np.abs(dets))) / n**2
-    total = 0.0
-    rel = pts - q
-    for combo in itertools.combinations(range(n), d):
-        total += abs(np.linalg.det(rel[list(combo)]))
+        xi, xj = pts[iu], pts[ju]
+
+        def block(q):
+            # det(x_i - z, x_j - z), in the difference form
+            dets = ((xi[:, 0] - q[:, 0:1]) * (xj[:, 1] - q[:, 1:2])
+                    - (xi[:, 1] - q[:, 1:2]) * (xj[:, 0] - q[:, 0:1]))
+            return np.abs(dets).sum(axis=1)
+
+        return in_chunks(block, qs, 48 * iu.size) / n**2
+    # subsets in blocks of a fixed size, so each row sums them the same way
+    # whatever the batch
+    size = max(1, BATCH_BYTES // (16 * d * d))
+    subsets = combinations(range(n), d)
+    total = np.zeros(qs.shape[0])
+    while (idx := np.array(list(islice(subsets, size)))).size:
+        simplices = pts[idx]
+        total += in_chunks(
+            lambda q: np.abs(np.linalg.det(simplices - q[:, None, None, :])).sum(axis=1),
+            qs, 16 * simplices.size)
     return total / n**d
 
 
-def oja_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
-    """(1 + E[simplex volume] / sqrt(det scatter))^-1, exact enumeration."""
-    q = cloud.point_of(z)
+def oja_depth_many(zs, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> np.ndarray:
+    """(1 + E[simplex volume] / sqrt(det scatter))^-1 for each row, by exact
+    enumeration of the d-point subsets (capped for d >= 3)."""
+    qs = cloud.points_of(zs)
     if cloud.n < cloud.d:
         raise ValueError(f"need at least d={cloud.d} points, got n={cloud.n}")
-    _, scatter, chol = estimator.estimate(cloud)
-    root_det = float(np.prod(np.diag(chol)))
-    return clamp_depth(1.0 / (1.0 + _oja_expected_volume(q, cloud) / root_det))
-
-
-def oja_depth_many(zs: np.ndarray, cloud: DataCloud,
-                   estimator: ScatterEstimator = MOMENT) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
     _, _, chol = estimator.estimate(cloud)
+    if cloud.d >= 3:
+        enumeration_size(cloud.n, cloud.d)
     root_det = float(np.prod(np.diag(chol)))
-    if cloud.d == 2:
-        pts = cloud.points
-        n = cloud.n
-        iu, ju = np.triu_indices(n, k=1)
-        # det(x_i - z, x_j - z) is affine in z: c_ij - cross(x_i - x_j, z)
-        c = pts[iu, 0] * pts[ju, 1] - pts[iu, 1] * pts[ju, 0]
-        dx = pts[iu] - pts[ju]
-        dets = c[None, :] - (dx[None, :, 0] * zs[:, 1:2] - dx[None, :, 1] * zs[:, 0:1])
-        vol = np.sum(np.abs(dets), axis=1) / n**2
-        return 1.0 / (1.0 + vol / root_det)
-    return np.array([oja_depth(z, cloud, estimator) for z in zs])
+    return clamp_depths(1.0 / (1.0 + _oja_expected_volumes(qs, cloud.points) / root_det))
+
+
+def oja_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
+    """Oja depth of one point, as a batch of one."""
+    return float(oja_depth_many(cloud.point_of(z)[None], cloud, estimator)[0])

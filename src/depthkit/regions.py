@@ -299,9 +299,6 @@ def hausdorff_distance(a: ConvexRegion, b: ConvexRegion) -> float:
 # depth lift, ordering, semimetric
 # ---------------------------------------------------------------------------
 
-#: depths whose sample regions reach every level in (0, 1]
-LIFT_READY = ("mahalanobis", "zonoid", "echstar", "geometric")
-
 
 @dataclass(frozen=True)
 class DepthLift:

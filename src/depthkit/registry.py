@@ -4,6 +4,18 @@ Each entry knows how to evaluate one point or a batch, whether an exact
 central-region algorithm exists, which invariance class the depth satisfies,
 whether its maximum reaches 1 on samples (a prerequisite for depth lifts),
 and whether it is admissible as the building block of the functional depths.
+
+Every depth has one numeric kernel.  A vectorised depth registers its batch
+kernel, and its point function runs that kernel on a batch of one; any other
+depth registers only its point function, which ``evaluate_many`` loops.
+Either way the contract is:
+
+* ``evaluate(z)`` equals ``evaluate_many([z])[0]`` bitwise;
+* ``evaluate_many`` validates the (m, d) query batch as ``evaluate``
+  validates a point, and beyond arrays of m rows its working set is
+  bounded however large m is (see ``core.BATCH_BYTES``);
+* :class:`EvalOptions` (seed and direction budget) is the only evaluation
+  options object.
 """
 
 from __future__ import annotations
@@ -17,19 +29,7 @@ from . import combinatorial, metric, weighted
 from .cloud import DataCloud
 from .errors import UnknownDepthError
 from .geometry import ConvexRegion
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    seed: int = 0
-    budget: int = 1000
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("direction budget must be at least 1")
-
-
-DEFAULT_OPTIONS = EvalOptions()
+from .rng import DEFAULT_OPTIONS, EvalOptions  # re-exported: the options of every depth
 
 PointEval = Callable[[np.ndarray, DataCloud, EvalOptions], float]
 BatchEval = Callable[[np.ndarray, DataCloud, EvalOptions], np.ndarray]
@@ -40,26 +40,30 @@ RegionFn = Callable[[DataCloud, float], ConvexRegion]
 class DepthSpec:
     name: str
     variant: str  # declared invariance class: "affine" | "isometric" | "scale"
-    evaluate_point: PointEval
-    evaluate_batch: BatchEval
+    point: PointEval
+    batch: BatchEval | None = None  # vectorised kernel over validated rows
     region_fn: RegionFn | None = None
-    convex_regions: bool = True
     lift_ready: bool = False
     functional_base: bool = False
-    uses_directions: bool = False
 
     def evaluate(self, z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIONS) -> float:
-        return self.evaluate_point(np.asarray(z, dtype=float), cloud, options)
+        return self.point(z, cloud, options)
 
     def evaluate_many(self, zs, cloud: DataCloud,
                       options: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(zs, dtype=float), cloud, options)
+        qs = cloud.points_of(zs)
+        if self.batch is not None:
+            return self.batch(qs, cloud, options)
+        return np.array([self.point(q, cloud, options) for q in qs], dtype=float)
+
+    # the name batch evaluation had before it shared one kernel with points
+    evaluate_batch = evaluate_many
 
     def evaluator(self, options: EvalOptions = DEFAULT_OPTIONS):
         """Bindable (point, cloud) callable, e.g. for the postulate harness."""
 
         def call(z, cloud: DataCloud) -> float:
-            return self.evaluate_point(np.asarray(z, dtype=float), cloud, options)
+            return self.point(z, cloud, options)
 
         return call
 
@@ -94,51 +98,30 @@ def get_depth(name: str) -> DepthSpec:
     return _REGISTRY[key]
 
 
-def _loop_batch(point_eval: PointEval) -> BatchEval:
-    def batch(zs: np.ndarray, cloud: DataCloud, options: EvalOptions) -> np.ndarray:
-        zs = zs.reshape(-1, cloud.d)
-        return np.array([point_eval(z, cloud, options) for z in zs])
-
-    return batch
-
-
-def _wm_region(scheme: weighted.WeightScheme) -> RegionFn:
-    def region(cloud: DataCloud, alpha: float) -> ConvexRegion:
-        return weighted.wm_region(cloud, scheme, alpha)
-
-    return region
-
-
-def _wm_point(scheme: weighted.WeightScheme) -> PointEval:
-    def point(z: np.ndarray, cloud: DataCloud, options: EvalOptions) -> float:
-        return weighted.wm_depth(z, cloud, scheme)
-
-    return point
-
+# Evaluation entries look their functions up on the module at call time, so a
+# function replaced on its module (for tracing, say) is the one that runs.
 
 register(DepthSpec(
     name="l2",
     variant="isometric",
-    evaluate_point=lambda z, cloud, opts: metric.l2_depth(z, cloud),
-    evaluate_batch=lambda zs, cloud, opts: metric.l2_depth_many(zs.reshape(-1, cloud.d), cloud),
+    point=lambda z, cloud, opts: metric.l2_depth(z, cloud),
+    batch=lambda zs, cloud, opts: metric.l2_depth_many(zs, cloud),
     functional_base=True,
 ))
 
 register(DepthSpec(
     name="l2-affine",
     variant="affine",
-    evaluate_point=lambda z, cloud, opts: metric.affine_invariant_l2_depth(z, cloud),
-    evaluate_batch=lambda zs, cloud, opts: metric.affine_invariant_l2_depth_many(
-        zs.reshape(-1, cloud.d), cloud),
+    point=lambda z, cloud, opts: metric.affine_invariant_l2_depth(z, cloud),
+    batch=lambda zs, cloud, opts: metric.affine_invariant_l2_depth_many(zs, cloud),
     functional_base=True,
 ))
 
 register(DepthSpec(
     name="mahalanobis",
     variant="affine",
-    evaluate_point=lambda z, cloud, opts: metric.mahalanobis_depth(z, cloud),
-    evaluate_batch=lambda zs, cloud, opts: metric.mahalanobis_depth_many(
-        zs.reshape(-1, cloud.d), cloud),
+    point=lambda z, cloud, opts: metric.mahalanobis_depth(z, cloud),
+    batch=lambda zs, cloud, opts: metric.mahalanobis_depth_many(zs, cloud),
     region_fn=metric.mahalanobis_region,
     lift_ready=True,
     functional_base=True,
@@ -147,29 +130,24 @@ register(DepthSpec(
 register(DepthSpec(
     name="projection",
     variant="affine",
-    evaluate_point=lambda z, cloud, opts: metric.projection_depth(
-        z, cloud, direction_budget=opts.budget, seed=opts.seed),
-    evaluate_batch=lambda zs, cloud, opts: metric.projection_depth_many(
-        zs.reshape(-1, cloud.d), cloud, direction_budget=opts.budget, seed=opts.seed),
+    point=lambda z, cloud, opts: metric.projection_depth(z, cloud, opts.budget, opts.seed),
+    batch=lambda zs, cloud, opts: metric.projection_depth_many(zs, cloud, opts.budget, opts.seed),
     functional_base=True,
-    uses_directions=True,
 ))
 
 register(DepthSpec(
     name="oja",
     variant="affine",
-    evaluate_point=lambda z, cloud, opts: metric.oja_depth(z, cloud),
-    evaluate_batch=lambda zs, cloud, opts: metric.oja_depth_many(zs.reshape(-1, cloud.d), cloud),
+    point=lambda z, cloud, opts: metric.oja_depth(z, cloud),
+    batch=lambda zs, cloud, opts: metric.oja_depth_many(zs, cloud),
     functional_base=True,
 ))
 
 register(DepthSpec(
     name="zonoid",
     variant="affine",
-    evaluate_point=lambda z, cloud, opts: weighted.zonoid_depth(z, cloud),
-    evaluate_batch=lambda zs, cloud, opts: weighted.zonoid_depth_many(
-        zs.reshape(-1, cloud.d), cloud),
-    region_fn=_wm_region(weighted.ZONOID),
+    point=lambda z, cloud, opts: weighted.zonoid_depth(z, cloud),
+    region_fn=lambda cloud, alpha: weighted.wm_region(cloud, weighted.ZONOID, alpha),
     lift_ready=True,
     functional_base=True,
 ))
@@ -177,9 +155,8 @@ register(DepthSpec(
 register(DepthSpec(
     name="echstar",
     variant="affine",
-    evaluate_point=_wm_point(weighted.ECH_STAR),
-    evaluate_batch=_loop_batch(_wm_point(weighted.ECH_STAR)),
-    region_fn=_wm_region(weighted.ECH_STAR),
+    point=lambda z, cloud, opts: weighted.wm_depth(z, cloud, weighted.ECH_STAR),
+    region_fn=lambda cloud, alpha: weighted.wm_region(cloud, weighted.ECH_STAR, alpha),
     lift_ready=True,
     functional_base=True,
 ))
@@ -187,9 +164,8 @@ register(DepthSpec(
 register(DepthSpec(
     name="geometric",
     variant="affine",
-    evaluate_point=_wm_point(weighted.GEOMETRIC),
-    evaluate_batch=_loop_batch(_wm_point(weighted.GEOMETRIC)),
-    region_fn=_wm_region(weighted.GEOMETRIC),
+    point=lambda z, cloud, opts: weighted.wm_depth(z, cloud, weighted.GEOMETRIC),
+    region_fn=lambda cloud, alpha: weighted.wm_region(cloud, weighted.GEOMETRIC, alpha),
     lift_ready=True,
     functional_base=True,
 ))
@@ -197,8 +173,7 @@ register(DepthSpec(
 register(DepthSpec(
     name="halfspace",
     variant="affine",
-    evaluate_point=lambda z, cloud, opts: combinatorial.halfspace_depth(z, cloud),
-    evaluate_batch=lambda zs, cloud, opts: combinatorial.halfspace_depth_many(zs, cloud),
+    point=lambda z, cloud, opts: combinatorial.halfspace_depth(z, cloud),
     region_fn=combinatorial.halfspace_region,
     functional_base=True,
 ))
@@ -206,21 +181,13 @@ register(DepthSpec(
 register(DepthSpec(
     name="simplicial",
     variant="affine",
-    evaluate_point=lambda z, cloud, opts: combinatorial.simplicial_depth(z, cloud),
-    evaluate_batch=lambda zs, cloud, opts: (
-        combinatorial.simplicial_depth_many(zs, cloud) if cloud.d == 2
-        else _loop_batch(lambda z, c, o: combinatorial.simplicial_depth(z, c))(zs, cloud, opts)
-    ),
-    convex_regions=False,
+    point=lambda z, cloud, opts: combinatorial.simplicial_depth(z, cloud),
+    batch=lambda zs, cloud, opts: combinatorial.simplicial_depth_many(zs, cloud),
     functional_base=True,
 ))
 
 register(DepthSpec(
     name="random-tukey",
     variant="scale",
-    evaluate_point=lambda z, cloud, opts: combinatorial.random_tukey_depth(
-        z, cloud, combinatorial.DirectionBudget(opts.budget, opts.seed)),
-    evaluate_batch=_loop_batch(lambda z, cloud, opts: combinatorial.random_tukey_depth(
-        z, cloud, combinatorial.DirectionBudget(opts.budget, opts.seed))),
-    uses_directions=True,
+    point=lambda z, cloud, opts: combinatorial.random_tukey_depth(z, cloud, opts),
 ))

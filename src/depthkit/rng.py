@@ -2,13 +2,30 @@
 
 All consumers draw from a sequential stream, so a larger budget with the
 same seed evaluates a superset of the directions of a smaller budget.
+:class:`EvalOptions` carries that seed and budget to every evaluation.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class EvalOptions:
+    """Seed and size of the direction sample of the randomized depths."""
+
+    seed: int = 0
+    budget: int = 1000
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError("direction budget must be at least 1")
+
+
+DEFAULT_OPTIONS = EvalOptions()
 
 
 def direction_stream(dim: int, seed: int) -> Iterator[np.ndarray]:

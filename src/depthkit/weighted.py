@@ -324,8 +324,3 @@ def zonoid_depth(z, cloud: DataCloud) -> float:
     if res.status != "optimal":  # pragma: no cover - the program is always feasible
         raise RuntimeError(f"zonoid LP ended with status {res.status}")
     return clamp_depth(res.value)
-
-
-def zonoid_depth_many(zs: np.ndarray, cloud: DataCloud) -> np.ndarray:
-    zs = np.asarray(zs, dtype=float)
-    return np.array([zonoid_depth(z, cloud) for z in zs])

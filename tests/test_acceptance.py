@@ -23,7 +23,6 @@ from test_combinatorial import halfspace_oracle, simplicial_oracle
 from depthkit import DataCloud
 from depthkit.cli import main as cli_main
 from depthkit.combinatorial import (
-    DirectionBudget,
     halfspace_depth,
     halfspace_depth_2d,
     random_tukey_depth,
@@ -291,7 +290,7 @@ def test_c08_random_tukey_bound(eu_cloud):
             exact = halfspace_depth_2d(q, eu_cloud)
             for budget in (10, 100, 1000, 10000):
                 approx = random_tukey_depth(
-                    q, eu_cloud, DirectionBudget(count=budget, seed=0))
+                    q, eu_cloud, EvalOptions(budget=budget, seed=0))
                 assert approx >= exact
                 if budget == 10000:
                     worst_gap = max(worst_gap, approx - exact)
@@ -304,7 +303,7 @@ def test_c08_random_tukey_bound(eu_cloud):
             exact = halfspace_depth_2d(q, other)
             for budget in (10, 1000):
                 approx = random_tukey_depth(
-                    q, other, DirectionBudget(count=budget, seed=3))
+                    q, other, EvalOptions(budget=budget, seed=3))
                 assert approx >= exact
 
 
@@ -355,7 +354,7 @@ def _constant_sample(values: np.ndarray, k: int) -> FunctionalSample:
 
 def test_c10_functional_collapse():
     with criterion("C10 functional collapse, anti-monotone families"):
-        budget = DirectionBudget(count=300, seed=0)
+        budget = EvalOptions(budget=300, seed=0)
 
         vals = np.random.default_rng(10).standard_normal(8)
         sample1 = _constant_sample(vals, k=5)
@@ -364,7 +363,7 @@ def test_c10_functional_collapse():
             expected = halfspace_depth(np.array([q]), line)
             const = np.full((5, 1), q)
             assert abs(graph_depth(const, sample1) - expected) <= 1e-12
-            assert abs(grid_depth(const, sample1, budget=budget)
+            assert abs(grid_depth(const, sample1, options=budget)
                        - expected) <= 1e-12
 
         plane = make_cloud(11, 7)
@@ -374,7 +373,7 @@ def test_c10_functional_collapse():
             const = np.repeat(q[None, :], 4, axis=0)
             expected = halfspace_depth_2d(q, plane)
             assert abs(graph_depth(const, sample2) - expected) <= 1e-12
-            assert abs(grid_depth(const, sample2, budget=budget)
+            assert abs(grid_depth(const, sample2, options=budget)
                        - expected) <= 1e-12
             assert abs(graph_depth(const, sample2, base_depth="zonoid")
                        - zonoid_depth(q, plane)) <= 1e-12

@@ -9,11 +9,9 @@ from conftest import make_cloud
 
 from depthkit.combinatorial import (
     SIMPLEX_ENUMERATION_CAP,
-    DirectionBudget,
     halfspace_depth,
     halfspace_depth_1d,
     halfspace_depth_2d,
-    halfspace_depth_many,
     halfspace_region,
     random_tukey_depth,
     simplicial_depth,
@@ -22,6 +20,7 @@ from depthkit.combinatorial import (
 )
 from depthkit.core import DataCloud
 from depthkit.errors import DimensionMismatchError, EnumerationTooLargeError
+from depthkit.registry import EvalOptions, get_depth
 
 
 def halfspace_oracle(q, cloud):
@@ -151,14 +150,6 @@ def test_halfspace_2d_coincident_points_count_everywhere():
     assert halfspace_depth_2d([0.0, 0.0], cloud) == halfspace_oracle([0.0, 0.0], cloud)
 
 
-def test_halfspace_many_matches_scalar():
-    cloud = make_cloud(3, 11)
-    zs = np.vstack([cloud.points[:4], np.zeros((1, 2))])
-    many = halfspace_depth_many(zs, cloud)
-    singles = [halfspace_depth(z, cloud) for z in zs]
-    assert np.array_equal(many, np.array(singles))
-
-
 # ---------------------------------------------------------------------------
 # simplicial depth vs the barycentric oracle
 # ---------------------------------------------------------------------------
@@ -242,7 +233,7 @@ def test_simplicial_many_matches_scalar():
 def test_tukey_region_classifies_data_points(seed):
     cloud = make_cloud(seed, 11)
     slack = 1e-9 * cloud.extent
-    depths = halfspace_depth_many(cloud.points, cloud)
+    depths = get_depth("halfspace").evaluate_many(cloud.points, cloud)
     for k in range(1, 6):
         alpha = k / cloud.n
         region = tukey_region_2d(cloud, alpha)
@@ -255,7 +246,7 @@ def test_tukey_region_classifies_data_points(seed):
 
 def test_tukey_region_nests_and_empties():
     cloud = make_cloud(5, 13)
-    depths = halfspace_depth_many(cloud.points, cloud)
+    depths = get_depth("halfspace").evaluate_many(cloud.points, cloud)
     dmax = float(depths.max())
     slack = 1e-9 * cloud.extent
     prev = None
@@ -293,7 +284,7 @@ def test_tukey_region_low_alpha_is_hull():
 
 def test_random_tukey_upper_bounds_exact():
     cloud = make_cloud(11, 15)
-    budget = DirectionBudget(count=2000, seed=3)
+    budget = EvalOptions(budget=2000, seed=3)
     for q in list(cloud.points[:6]) + [np.zeros(2), np.array([0.3, -0.2])]:
         exact = halfspace_depth(q, cloud)
         approx = random_tukey_depth(q, cloud, budget)
@@ -305,7 +296,7 @@ def test_random_tukey_weakly_decreasing_in_budget():
     cloud = make_cloud(4, 12)
     q = np.array([0.1, 0.1])
     vals = [
-        random_tukey_depth(q, cloud, DirectionBudget(count=c, seed=0))
+        random_tukey_depth(q, cloud, EvalOptions(budget=c, seed=0))
         for c in (50, 500, 4000)
     ]
     assert vals[0] >= vals[1] >= vals[2]
@@ -314,16 +305,16 @@ def test_random_tukey_weakly_decreasing_in_budget():
 def test_random_tukey_is_seed_reproducible():
     cloud = make_cloud(6, 10)
     q = np.array([0.05, -0.3])
-    b = DirectionBudget(count=777, seed=42)
+    b = EvalOptions(budget=777, seed=42)
     assert random_tukey_depth(q, cloud, b) == random_tukey_depth(q, cloud, b)
 
 
 def test_random_tukey_exact_at_coincident_query():
     pts = np.array([[1.0, 1.0]] * 4)
     cloud = DataCloud(pts)
-    assert random_tukey_depth([1.0, 1.0], cloud, DirectionBudget(count=10, seed=0)) == 1.0
+    assert random_tukey_depth([1.0, 1.0], cloud, EvalOptions(budget=10, seed=0)) == 1.0
 
 
 def test_direction_budget_validation():
     with pytest.raises(ValueError):
-        DirectionBudget(count=0)
+        EvalOptions(budget=0)

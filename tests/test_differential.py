@@ -1,0 +1,188 @@
+"""Batch evaluation against point evaluation, for every registered depth.
+
+``evaluate_many(zs)`` must equal ``[evaluate(z) for z in zs]`` bitwise, or
+both must raise the same coded error.  The inputs are adversarial: repeated
+points, collinear sets, lattice points, queries on vertices and on edge
+midpoints, and coordinates scaled from 1e-6 to 1e6.  Simplicial depth is
+also checked against an exact rational enumeration on integer lattices.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from conftest import make_cloud
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from depthkit import DataCloud
+from depthkit.errors import DepthKitError, DimensionMismatchError
+from depthkit.registry import EvalOptions, available_depths, get_depth
+
+# a small direction budget keeps the randomized depths fast; the contract
+# holds for every budget
+OPTIONS = EvalOptions(seed=3, budget=40)
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _lattice(draw, n, d, lo=-3, hi=3):
+    values = draw(st.lists(st.integers(lo, hi), min_size=n * d, max_size=n * d))
+    return np.array(values, dtype=float).reshape(n, d)
+
+
+@st.composite
+def cases(draw):
+    """(cloud, queries): a scaled lattice, collinear or repeated-point cloud,
+    queried at its vertices, its edge midpoints, lattice points, its mean
+    and far outside."""
+    d = draw(st.sampled_from([1, 2, 2, 2, 3]))
+    n = draw(st.integers(d + 2, 8 if d < 3 else 6))
+    kind = draw(st.sampled_from(["lattice", "collinear", "repeated", "gaussian"]))
+    if kind == "collinear":
+        steps = _lattice(draw, n, 1, -4, 4)
+        ints = _lattice(draw, 1, d) + steps * _lattice(draw, 1, d, 1, 3)
+    elif kind == "repeated":
+        distinct = _lattice(draw, draw(st.integers(1, 3)), d)
+        picks = draw(st.lists(st.integers(0, distinct.shape[0] - 1),
+                              min_size=n, max_size=n))
+        ints = distinct[picks]
+    elif kind == "lattice":
+        ints = _lattice(draw, n, d)
+    else:
+        ints = make_cloud(draw(st.integers(0, 10**6)), n, d).points
+    scale = draw(st.sampled_from(SCALES))
+    pts = ints * scale
+    pairs = list(itertools.combinations(range(n), 2))
+    mids = [(pts[i] + pts[j]) / 2.0
+            for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))]
+    verts = [pts[i] for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))]
+    grid = list(_lattice(draw, 2, d) * scale)
+    queries = np.array(verts + mids + grid + [pts.mean(axis=0), np.full(d, 40.0 * scale)])
+    return DataCloud(pts), queries
+
+
+def _outcome(call):
+    try:
+        return call()
+    except DepthKitError as exc:
+        return exc.code
+
+
+def assert_batch_is_loop(name, cloud, zs):
+    spec = get_depth(name)
+    many = _outcome(lambda: spec.evaluate_many(zs, cloud, OPTIONS))
+    loop = _outcome(lambda: np.array([spec.evaluate(z, cloud, OPTIONS) for z in zs]))
+    if isinstance(many, str) or isinstance(loop, str):
+        assert many == loop
+    else:
+        assert many.dtype == loop.dtype and many.tobytes() == loop.tobytes()
+
+
+@pytest.mark.parametrize("name", available_depths())
+@SETTINGS
+@given(case=cases())
+def test_batch_equals_point_loop(name, case):
+    assert_batch_is_loop(name, *case)
+
+
+def _fixed_queries(name):
+    if name == "halfspace":
+        cloud = make_cloud(3, 11)
+        return cloud, np.vstack([cloud.points[:4], np.zeros((1, 2))])
+    cloud = make_cloud(7, 9)
+    return cloud, np.vstack([cloud.mean, cloud.points[0], cloud.points.max(axis=0) + 2.0])
+
+
+@pytest.mark.parametrize("name", ["halfspace", "zonoid"])
+def test_batch_equals_point_loop_on_fixed_clouds(name):
+    assert_batch_is_loop(name, *_fixed_queries(name))
+
+
+def test_collinear_triangle_holds_only_its_segment():
+    # (0,0), (1,1), (2,2) span a segment, not the whole diagonal line
+    cloud = DataCloud(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 2.0], [2.0, 0.0]]))
+    spec = get_depth("simplicial")
+    assert spec.evaluate([3.0, 3.0], cloud) == 0.0
+    assert spec.evaluate_many([[3.0, 3.0]], cloud)[0] == 0.0
+    assert spec.evaluate_many([[1.0, 1.0]], cloud)[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# batch queries are validated like point queries
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", available_depths())
+def test_batch_rejects_wrong_shapes(name):
+    spec = get_depth(name)
+    cloud = make_cloud(1, 6)
+    for zs in (np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 1))):
+        with pytest.raises(DimensionMismatchError):
+            spec.evaluate_many(zs, cloud, OPTIONS)
+    with pytest.raises(DimensionMismatchError):
+        spec.evaluate(np.zeros(3), cloud, OPTIONS)
+
+
+@pytest.mark.parametrize("name", available_depths())
+def test_batch_rejects_non_finite_rows(name):
+    spec = get_depth(name)
+    cloud = make_cloud(2, 6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            spec.evaluate_many([[0.0, 0.0], [bad, 0.0]], cloud, OPTIONS)
+        with pytest.raises(ValueError):
+            spec.evaluate([bad, 0.0], cloud, OPTIONS)
+
+
+@pytest.mark.parametrize("name", available_depths())
+def test_flat_batch_is_a_list_of_scalars_in_one_dimension(name):
+    spec = get_depth(name)
+    cloud = DataCloud(np.array([0.0, 1.0, 3.0, 4.0, 7.0]))
+    zs = np.array([0.5, 3.0, 9.0])
+    assert np.array_equal(spec.evaluate_many(zs, cloud, OPTIONS),
+                          spec.evaluate_many(zs[:, None], cloud, OPTIONS))
+    assert spec.evaluate_many(np.empty((0, 1)), cloud, OPTIONS).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# simplicial depth against exact rational enumeration
+# ---------------------------------------------------------------------------
+
+
+def _cross(o, p, q):
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def exact_simplicial(q, pts):
+    """Share of closed triangles of ``pts`` containing ``q``, in rationals."""
+    count = total = 0
+    for a, b, c in itertools.combinations(pts, 3):
+        total += 1
+        signs = (_cross(a, b, q), _cross(b, c, q), _cross(c, a, q))
+        if _cross(a, b, c) != 0:
+            count += all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
+        else:
+            # collinear: the hull is the segment spanned by the three points
+            count += (all(s == 0 for s in signs)
+                      and all(min(v[k] for v in (a, b, c)) <= q[k] <= max(v[k] for v in (a, b, c))
+                              for k in range(2)))
+    return Fraction(count, total)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ints=st.lists(st.tuples(st.integers(-3, 5), st.integers(-3, 5)), min_size=7, max_size=7))
+def test_simplicial_matches_exact_enumeration_on_lattices(ints):
+    pts = [(Fraction(x), Fraction(y)) for x, y in ints]
+    queries = [(Fraction(x), Fraction(y)) for x in range(-3, 6, 2) for y in range(-3, 6, 2)]
+    queries += list(pts)
+    queries += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in itertools.combinations(pts, 2)]
+    want = np.array([float(exact_simplicial(q, pts)) for q in queries])
+    spec = get_depth("simplicial")
+    for scale in (1e-3, 1.0, 1e3):
+        cloud = DataCloud(np.array(ints, dtype=float) * scale)
+        zs = np.array([[float(x) * scale, float(y) * scale] for x, y in queries])
+        assert np.array_equal(spec.evaluate_many(zs, cloud), want), scale
+        assert all(spec.evaluate(z, cloud) == w for z, w in zip(zs, want)), scale

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_cloud
 
-from depthkit.combinatorial import DirectionBudget, halfspace_depth
+from depthkit.combinatorial import halfspace_depth
 from depthkit.core import DataCloud
 from depthkit.errors import (
     EmptyTimeSetError,
@@ -19,6 +19,7 @@ from depthkit.functional import (
     phi_depth,
     phi_maximality,
 )
+from depthkit.registry import EvalOptions
 
 GRID4 = np.linspace(0.0, 1.0, 4)
 
@@ -97,7 +98,7 @@ def test_grid_depth_collapses_on_constant_curves():
     cloud = DataCloud(np.array([[0.0], [1.0], [2.0]]))
     for v in (0.0, 1.0, 1.5):
         z = np.full(4, v)
-        got = grid_depth(z, s, budget=DirectionBudget(count=200, seed=1))
+        got = grid_depth(z, s, options=EvalOptions(budget=200, seed=1))
         assert abs(got - halfspace_depth(v, cloud)) <= 1e-12
 
 
@@ -165,7 +166,7 @@ def test_grid_depth_sample_curves_hit_the_floor():
     s = random_sample(5, 5, 4)
     for i in range(s.n):
         z = s.curves[i, :, 0]
-        got = grid_depth(z, s, budget=DirectionBudget(count=500, seed=0))
+        got = grid_depth(z, s, options=EvalOptions(budget=500, seed=0))
         assert got >= 1.0 / s.n
         assert got <= graph_depth(z, s)
 
@@ -178,8 +179,8 @@ def test_grid_depth_far_curve_is_zero():
 def test_grid_depth_time_subset_and_errors():
     s = random_sample(7, 5, 6)
     z = s.curves[2, :, 0]
-    full = grid_depth(z, s, budget=DirectionBudget(count=100, seed=0))
-    sub = grid_depth(z, s, t_indices=[0, 2], budget=DirectionBudget(count=100, seed=0))
+    full = grid_depth(z, s, options=EvalOptions(budget=100, seed=0))
+    sub = grid_depth(z, s, t_indices=[0, 2], options=EvalOptions(budget=100, seed=0))
     assert sub >= full
     with pytest.raises(EmptyTimeSetError):
         grid_depth(z, s, t_indices=[])

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from depthkit.errors import DepthKitError, IterationLimitError
 from depthkit.lp import LPResult, feasible, solve_lp
 
 
@@ -77,3 +80,22 @@ def test_degenerate_equalities():
     res = solve_lp([2.0, 1.0], a, [1.0, 1.0], upper=[1.0, 1.0])
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0)
+
+
+def test_iteration_limit_is_a_coded_error():
+    # the optimum x = (0.3, 0.7) needs more than one pivot
+    with pytest.raises(IterationLimitError) as info:
+        solve_lp([1.0, 2.0], [[1.0, 1.0]], [1.0], upper=[0.3, 0.7], max_iter=1)
+    assert isinstance(info.value, DepthKitError)
+    assert info.value.code == "ITERATION_LIMIT"
+
+
+def test_cli_reports_the_iteration_limit(capsys, monkeypatch):
+    from depthkit import weighted
+    from depthkit.cli import main
+
+    monkeypatch.setattr(weighted, "solve_lp", functools.partial(solve_lp, max_iter=1))
+    assert main(["depth", "zonoid", "--data", "eu27", "--point", "80.6,10.9"]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ITERATION_LIMIT:")
+    assert "Traceback" not in err

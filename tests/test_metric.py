@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_cloud
 from depthkit import DataCloud
-from depthkit.errors import SingularScatterError, ZeroMadError
+from depthkit.combinatorial import SIMPLEX_ENUMERATION_CAP
+from depthkit.errors import EnumerationTooLargeError, SingularScatterError, ZeroMadError
 from depthkit.metric import (
     MOMENT,
     affine_invariant_l2_depth,
@@ -13,6 +17,7 @@ from depthkit.metric import (
     mahalanobis_depth_many,
     mahalanobis_region,
     oja_depth,
+    oja_depth_many,
     projection_depth,
     projection_depth_many,
 )
@@ -141,6 +146,27 @@ def test_oja_decreases_away_from_center():
     far = oja_depth(cloud.mean + np.array([6.0, 0.0]), cloud)
     farther = oja_depth(cloud.mean + np.array([60.0, 0.0]), cloud)
     assert near > far > farther > 0.0
+
+
+def test_oja_3d_matches_subset_enumeration():
+    cloud = make_cloud(12, 7, d=3)
+    zs = np.array([[0.1, -0.2, 0.3], [2.0, 1.0, -1.0]])
+    _, scatter, _ = MOMENT.estimate(cloud)
+    for z, got in zip(zs, oja_depth_many(zs, cloud)):
+        vol = sum(abs(np.linalg.det(cloud.points[list(c)] - z))
+                  for c in itertools.combinations(range(7), 3)) / 7**3
+        assert got == pytest.approx(1.0 / (1.0 + vol / np.sqrt(np.linalg.det(scatter))),
+                                    rel=1e-12)
+
+
+def test_oja_enumeration_cap():
+    n = 300
+    assert math.comb(n, 3) > SIMPLEX_ENUMERATION_CAP
+    cloud = DataCloud(np.random.default_rng(1).standard_normal((n, 3)))
+    with pytest.raises(EnumerationTooLargeError):
+        oja_depth(np.zeros(3), cloud)
+    with pytest.raises(EnumerationTooLargeError):
+        oja_depth_many(np.zeros((2, 3)), cloud)
 
 
 def test_moment_estimator_fields():

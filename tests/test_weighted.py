@@ -20,7 +20,6 @@ from depthkit.weighted import (
     wm_region_2d,
     wm_support_function,
     zonoid_depth,
-    zonoid_depth_many,
 )
 
 BIT_1D = DataCloud(np.array([0.0, 1.0]))
@@ -196,13 +195,6 @@ def test_zonoid_hull_vertex_is_one_over_n():
 def test_zonoid_depth_zero_outside_hull():
     cloud = make_cloud(6, 10)
     assert zonoid_depth(cloud.points.max(axis=0) + 0.5, cloud) == 0.0
-
-
-def test_zonoid_depth_many_matches_scalar():
-    cloud = make_cloud(7, 9)
-    zs = np.vstack([cloud.mean, cloud.points[0], cloud.points.max(axis=0) + 2.0])
-    batch = zonoid_depth_many(zs, cloud)
-    assert np.allclose(batch, [zonoid_depth(z, cloud) for z in zs], atol=1e-12)
 
 
 def test_wm_depth_max_at_mean():
