@@ -1,9 +1,16 @@
-"""Finite point clouds, the empirical carrier of every depth function here."""
+"""Finite point clouds, the empirical carrier of every depth function here.
+
+A :class:`DataCloud` owns a read-only copy of its points, so whatever a depth
+derives from the points alone (a projection index, a support frame) stays
+valid for the life of the cloud.  :meth:`DataCloud.derived` builds each such
+value once per cloud and hands it to every later query.
+"""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -13,9 +20,13 @@ from .errors import DimensionMismatchError
 # to the cloud's bounding box.
 COORD_REL_TOL = 1e-9
 
+T = TypeVar("T")
+
 
 def _as_points(values) -> np.ndarray:
-    pts = np.asarray(values, dtype=float)
+    # a copy, so a write to the caller's array cannot move the cloud and the
+    # cloud's read-only flag cannot reach the caller's array
+    pts = np.array(values, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
@@ -31,12 +42,14 @@ def _as_points(values) -> np.ndarray:
 class DataCloud:
     """Immutable empirical sample of n points in R^d.
 
-    ``points`` is an (n, d) float array; a 1-D input is treated as n scalars.
-    Optional ``labels`` name the points (one label per row).
+    ``points`` is an (n, d) float array, copied from the input and read-only;
+    a 1-D input is treated as n scalars.  Optional ``labels`` name the points
+    (one label per row).
     """
 
     points: np.ndarray
     labels: tuple[str, ...] | None = None
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)
@@ -69,6 +82,20 @@ class DataCloud:
     @property
     def mean(self) -> np.ndarray:
         return self.points.mean(axis=0)
+
+    def derived(self, key: Hashable, build: Callable[["DataCloud"], T]) -> T:
+        """Return ``build(self)``, built on the first call with ``key`` and
+        kept for every later call.
+
+        For state that depends only on the points and the parameters named
+        in ``key``: the points never change, so neither does the value.  A
+        build that raises keeps nothing.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     def require_dim(self, d: int) -> None:
         if self.d != d:

@@ -15,7 +15,7 @@ monotonicity and upper semicontinuity of the base depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,14 +34,18 @@ CurveFunctional = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class FunctionalSample:
-    """n curves sampled on a common grid: values array of shape (n, k, d)."""
+    """n curves sampled on a common grid: values array of shape (n, k, d).
+
+    ``grid`` and ``curves`` are read-only copies of the inputs.
+    """
 
     grid: np.ndarray
     curves: np.ndarray
+    _clouds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).reshape(-1)
-        curves = np.asarray(self.curves, dtype=float)
+        grid = np.array(self.grid, dtype=float).reshape(-1)
+        curves = np.array(self.curves, dtype=float)
         if curves.ndim == 2:
             curves = curves[:, :, np.newaxis]
         if curves.ndim != 3:
@@ -78,8 +82,14 @@ class FunctionalSample:
         return self.curves.shape[2]
 
     def point_cloud(self, t_index: int) -> DataCloud:
-        """Cloud of all curve values at one grid position."""
-        return DataCloud(self.curves[:, t_index, :])
+        """Cloud of all curve values at one grid position.
+
+        The same cloud is returned for the same position, so what a depth
+        derives from it is built once per position, not once per query.
+        """
+        if t_index not in self._clouds:
+            self._clouds[t_index] = DataCloud(self.curves[:, t_index, :])
+        return self._clouds[t_index]
 
     def coerce_curve(self, z) -> np.ndarray:
         """Validate a query curve against this sample's grid shape."""

@@ -176,7 +176,9 @@ class ProjectionIndex:
     zero-sum coefficients.  Both families transform consistently under
     invertible linear maps and translations, making the approximate depth
     exactly affine invariant (up to float noise) for a fixed seed.  In d=1
-    the single direction +1 makes the depth exact.
+    the single direction +1 makes the depth exact.  An index depends only on
+    the cloud, the budget and the seed, so each cloud builds it once (see
+    :meth:`DataCloud.derived`).
     """
 
     def __init__(self, cloud: DataCloud, budget: int, seed: int):
@@ -210,10 +212,20 @@ class ProjectionIndex:
             norms = np.linalg.norm(white, axis=1)
             good = norms > 1e-12
             dirs = white[good] / norms[good, None]
-        proj = dirs @ pts.T
-        med = np.median(proj, axis=1)
-        mad = np.median(np.abs(proj - med[:, None]), axis=1)
-        if np.any(mad <= 1e-12 * max(1.0, float(np.max(np.abs(proj))))):
+        # the (directions, n) projections grow as n^3, so they are formed in
+        # row chunks under BATCH_BYTES; each row's median and MAD see the
+        # same values as in one product
+        med = np.empty(dirs.shape[0])
+        mad = np.empty(dirs.shape[0])
+        top = 0.0  # largest |projection|, the scale of the zero-MAD guard
+        rows = max(1, BATCH_BYTES // (32 * n))
+        for start in range(0, dirs.shape[0], rows):
+            proj = dirs[start:start + rows] @ pts.T
+            m = np.median(proj, axis=1)
+            med[start:start + rows] = m
+            mad[start:start + rows] = np.median(np.abs(proj - m[:, None]), axis=1)
+            top = max(top, float(np.max(np.abs(proj))))
+        if np.any(mad <= 1e-12 * max(1.0, top)):
             raise ZeroMadError(
                 "a projection of the sample has zero median absolute deviation"
             )
@@ -240,7 +252,8 @@ def projection_depth_many(zs, cloud: DataCloud,
     seed.
     """
     qs = cloud.points_of(zs)
-    index = ProjectionIndex(cloud, direction_budget, seed)
+    index = cloud.derived(("projection", direction_budget, seed),
+                          lambda c: ProjectionIndex(c, direction_budget, seed))
     return clamp_depths(1.0 / (1.0 + index.outlyingness(qs)))
 
 

@@ -8,6 +8,7 @@ same seed evaluates a superset of the directions of a smaller budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -40,9 +41,21 @@ def direction_stream(dim: int, seed: int) -> Iterator[np.ndarray]:
             yield g / norm
 
 
+@lru_cache(maxsize=8)
+def _direction_set(dim: int, count: int, seed: int) -> np.ndarray:
+    stream = direction_stream(dim, seed)
+    dirs = np.array([next(stream) for _ in range(count)])
+    dirs.setflags(write=False)
+    return dirs
+
+
 def unit_directions(dim: int, count: int, seed: int) -> np.ndarray:
-    """First ``count`` directions of the stream, as a (count, dim) array."""
+    """First ``count`` directions of the stream, as a read-only (count, dim)
+    array.
+
+    The few most recently used direction sets are kept, so the queries of
+    one evaluation share one draw.
+    """
     if count < 1:
         raise ValueError("direction count must be at least 1")
-    stream = direction_stream(dim, seed)
-    return np.array([next(stream) for _ in range(count)])
+    return _direction_set(dim, count, seed)

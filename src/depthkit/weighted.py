@@ -216,14 +216,17 @@ def wm_region(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> ConvexReg
 _WM_MARGIN_TOL = 1e-11
 
 
-def _wm_support_frame(cloud: DataCloud, q: np.ndarray):
+def _wm_support_frame(cloud: DataCloud):
     """Constraint system for membership tests in every level region.
 
-    Returns (margins0, sorted_proj) where membership of q in the level-alpha
-    region means sorted_proj @ w(alpha) >= proj(q) along every constraint
-    direction.  Margins are normalized by the per-direction projection
-    spread, which transforms exactly like the margins under invertible
-    linear maps, so the test is affine-consistent.
+    Returns (dirs, sorted_proj, denom), or None when all points coincide.
+    A query q lies in the level-alpha region when sorted_proj @ w(alpha) >=
+    dirs @ q along every constraint direction.  Margins are normalized by
+    ``denom``, the per-direction projection spread, which transforms
+    exactly like the margins under invertible linear maps, so the test is
+    affine-consistent.  The frame depends on the cloud alone: ``wm_depth``
+    builds it once per cloud, for every weight scheme, and computes only
+    ``dirs @ q`` per query.
     """
     pts = cloud.points
     n = pts.shape[0]
@@ -242,10 +245,9 @@ def _wm_support_frame(cloud: DataCloud, q: np.ndarray):
         perp = np.column_stack([-diffs[:, 1], diffs[:, 0]])
         dirs = np.vstack([diffs, -diffs, perp, -perp])
     proj = np.sort(dirs @ pts.T, axis=1, kind="stable")
-    s = dirs @ q
     spread = proj[:, -1] - proj[:, 0]
     denom = np.maximum(spread, 1e-300)
-    return s, proj, denom
+    return dirs, proj, denom
 
 
 def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, alpha_tol: float = 1e-6) -> float:
@@ -263,12 +265,13 @@ def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, alpha_tol: float = 1e-6)
             "weighted-mean depth is available in d <= 2 (zonoid_depth covers any d)"
         )
     n = cloud.n
-    frame = _wm_support_frame(cloud, q)
+    frame = cloud.derived(("wm-frame",), _wm_support_frame)
     if frame is None:
         # all data points coincide: the region is that single point
         ref = cloud.points[0]
         return 1.0 if np.linalg.norm(q - ref) <= cloud.coord_tol else 0.0
-    s, proj, denom = frame
+    dirs, proj, denom = frame
+    s = dirs @ q
 
     def feasible(alpha: float) -> bool:
         w = weights(scheme, n, alpha)
