@@ -1,26 +1,32 @@
 """Combinatorial depths: halfspace (Tukey), its regions, and simplicial depth.
 
 Values are exact fractions of counts, so equal inputs give bitwise equal
-outputs.  The planar halfspace depth uses the angular sweep over critical
-directions; Tukey regions intersect the finitely many binding halfplanes;
-simplicial depth enumerates closed simplices, for a whole batch of queries
-at once.
+outputs.  The planar halfspace depth minimises over the critical lines
+through the query; Tukey regions intersect the finitely many binding
+halfplanes; simplicial depth enumerates closed simplices, for a whole batch
+of queries at once.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .cloud import DataCloud
 from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
-from .core import clamp_depths, enumeration_size, in_chunks
+from .core import BATCH_BYTES, clamp_depths, enumeration_size, in_chunks
 from .errors import DimensionMismatchError, InvalidAlphaError
 from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull
 from .lp import feasible
 from .rng import DEFAULT_OPTIONS, EvalOptions, unit_directions
+
+
+#: a query within this share of the cloud's extent of a data point coincides
+#: with it, and of a triangle's boundary lies on it; a triangle no higher
+#: than that is a segment
+_BOUNDARY_REL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -39,29 +45,47 @@ def halfspace_depth_1d(z: float, cloud: DataCloud) -> float:
 
 
 def halfspace_depth_2d(z, cloud: DataCloud) -> float:
-    """Exact planar halfspace depth by the angular sweep.
+    """Exact planar halfspace depth over the critical lines through z.
 
-    The count of points in the closed halfplane with normal at angle phi is
-    piecewise constant between the critical angles (the data directions
-    rotated a quarter turn), so the minimum over all halfplanes is the
-    minimum over one direction per angular interval; points coincident with
-    z lie in every halfplane.
+    The count of points in the closed halfplane {x : <u, x - z> >= 0} is
+    piecewise constant in the angle of u and changes only where the boundary
+    line passes through a data point, so the minimum is attained just beside
+    such a line.  Beside the line through z and a data point p, the points
+    off the line count by their side of it and the points on it by their ray
+    from z, so the fewest points a halfplane there can hold is
+    min(left, right) + min(ahead, behind).  A point within
+    ``_BOUNDARY_REL_TOL`` times the cloud's extent of z coincides with it and
+    lies in every halfplane; a point that close to a line lies on it.
     """
     cloud.require_dim(2)
     q = cloud.point_of(z)
     rel = cloud.points - q
     dist = np.linalg.norm(rel, axis=1)
-    tol = cloud.coord_tol
-    coincident = int(np.count_nonzero(dist <= tol))
-    rel = rel[dist > tol]
+    tol = _BOUNDARY_REL_TOL * cloud.extent
+    far = dist > tol
+    coincident = cloud.n - int(np.count_nonzero(far))
+    rel, dist = rel[far], dist[far]
     if rel.shape[0] == 0:
         return 1.0
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    crit = np.unique(np.concatenate([ang + 0.5 * np.pi, ang - 0.5 * np.pi]) % (2.0 * np.pi))
-    gaps = np.diff(np.concatenate([crit, [crit[0] + 2.0 * np.pi]]))
-    mids = (crit + gaps / 2.0) % (2.0 * np.pi)
-    dirs = np.column_stack([np.cos(mids), np.sin(mids)])
-    counts = np.count_nonzero(dirs @ rel.T > 0.0, axis=1)
+    normals = np.array([rel[:, 1], -rel[:, 0]])
+
+    def block(lines):
+        # cross(p, r) / |p| is the signed distance of r from the line along p
+        side = lines[:, :2] @ normals
+        slack = tol * lines[:, 2:3]
+        left, right = side > slack, side < -slack
+        n_left, n_right = left.sum(axis=1), right.sum(axis=1)
+        fewest = np.minimum(n_left, n_right)
+        on = rel.shape[0] - n_left - n_right
+        # p itself is ahead on its line; behind it only if a point is too
+        multi = np.flatnonzero(on > 1)
+        if multi.size:
+            along = lines[multi, :2] @ rel.T
+            behind = np.count_nonzero(~left[multi] & ~right[multi] & (along < 0.0), axis=1)
+            fewest[multi] += np.minimum(on[multi] - behind, behind)
+        return fewest
+
+    counts = in_chunks(block, np.column_stack([rel, dist]), 24 * rel.shape[0])
     return (int(counts.min()) + coincident) / cloud.n
 
 
@@ -183,11 +207,6 @@ def halfspace_region(cloud: DataCloud, alpha: float) -> ConvexRegion:
 # ---------------------------------------------------------------------------
 
 
-#: a query within this share of the cloud's extent of a triangle's boundary
-#: lies on it, and a triangle no higher than that is a segment
-_BOUNDARY_REL_TOL = 1e-12
-
-
 def _segments_containing(qs: np.ndarray, cloud: DataCloud, total: int) -> np.ndarray:
     values = cloud.points[:, 0]
     tol = cloud.coord_tol
@@ -256,21 +275,27 @@ def _triangles_containing(qs: np.ndarray, cloud: DataCloud) -> np.ndarray:
 
 
 def _simplices_containing(q: np.ndarray, cloud: DataCloud) -> int:
-    pts = cloud.points
+    # barycentric coordinates of the query in coordinates centred at it and
+    # divided by the cloud's extent, so that the slack and the feasibility
+    # fallback do not depend on where the cloud sits or how large it is
+    pts = (cloud.points - q) / (cloud.extent or 1.0)
     d = cloud.d
+    rhs = np.zeros(d + 1)
+    rhs[-1] = 1.0
+    # simplices in blocks: per simplex the tuple and index row of its
+    # vertices, their coordinates, its system, the solid copy and the solution
+    size = max(1, BATCH_BYTES // (8 * (d + 1) * (5 * d + 4)))
+    combos = combinations(range(cloud.n), d + 1)
     count = 0
-    for combo in combinations(range(cloud.n), d + 1):
-        sub = pts[list(combo)]
-        mat = np.vstack([sub.T, np.ones(d + 1)])
-        rhs = np.concatenate([q, [1.0]])
-        try:
-            lam = np.linalg.solve(mat, rhs)
-            inside = bool(np.all(lam >= -1e-9))
-        except np.linalg.LinAlgError:
-            # degenerate simplex: fall back to hull-membership feasibility
-            inside = feasible(mat, rhs)
-        if inside:
-            count += 1
+    while (idx := np.array(list(islice(combos, size)))).size:
+        mats = np.ones((idx.shape[0], d + 1, d + 1))
+        mats[:, :d, :] = pts[idx].transpose(0, 2, 1)
+        flat = np.abs(np.linalg.det(mats)) <= _BOUNDARY_REL_TOL
+        solid = mats[~flat]
+        lam = np.linalg.solve(solid, np.broadcast_to(rhs[:, None], (solid.shape[0], d + 1, 1)))
+        count += int(np.count_nonzero(np.all(lam[:, :, 0] >= -1e-9, axis=1)))
+        # a flat simplex: fall back to hull-membership feasibility
+        count += sum(feasible(mat, rhs) for mat in mats[flat])
     return count
 
 

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from .cloud import DataCloud
 from .errors import EnumerationTooLargeError, NestingViolationError
-from .geometry import ConvexRegion
+
+if TYPE_CHECKING:
+    from .geometry import ConvexRegion
 
 DepthEvaluator = Callable[[np.ndarray, DataCloud], float]
 
@@ -49,14 +51,15 @@ def clamp_depths(values: np.ndarray) -> np.ndarray:
 
 
 def in_chunks(block: Callable[[np.ndarray], np.ndarray], qs: np.ndarray,
-              row_bytes: int) -> np.ndarray:
-    """``block`` applied to consecutive row chunks of ``qs``, concatenated.
+              row_bytes: int, dtype=float) -> np.ndarray:
+    """``block`` applied to consecutive row chunks of ``qs``, concatenated
+    into an array of ``dtype``.
 
     A chunk holds as many rows as fit ``BATCH_BYTES`` at ``row_bytes`` of
     working set per row, and at least one.
     """
     rows = max(1, BATCH_BYTES // max(1, row_bytes))
-    out = np.empty(qs.shape[0])
+    out = np.empty(qs.shape[0], dtype=dtype)
     for start in range(0, qs.shape[0], rows):
         out[start:start + rows] = block(qs[start:start + rows])
     return out

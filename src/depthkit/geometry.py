@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import in_chunks
 from .errors import EmptyRegionError
 
 
@@ -40,7 +41,7 @@ def convex_hull(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(np.abs(np.diff(pts, axis=0)) > 0, axis=1)
     pts = pts[keep]
-    if len(pts) == 1:
+    if len(pts) <= 1:
         return pts.copy()
 
     def cross(o, a, b):
@@ -54,21 +55,43 @@ def convex_hull(points: np.ndarray, eps: float | None = None) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) == 0:
-        hull = pts[:1].copy()
-    return hull
+    # rows of Python floats: the same IEEE arithmetic as numpy scalars, at a
+    # fraction of the cost per operation
+    rows = pts.tolist()
+    lower = build(rows)
+    upper = build(rows[::-1])
+    return np.array(lower[:-1] + upper[:-1])
 
 
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
+#: working set per (query, edge) pair of the edge test: two offsets, two
+#: products and the cross product, then the verdict
+_CROSS_BYTES = 5 * 8 + 1
+#: working set per (query, segment) pair of the segment distance: the
+#: projection parameter, the squared distance and four temporaries
+_SEGMENT_BYTES = 6 * 8
+
+
+def _left_of_edges(q: np.ndarray, v: np.ndarray, edges: np.ndarray, floor) -> np.ndarray:
+    """Rows of ``q`` whose cross product with every edge ``v -> v + edges``
+    is at least ``floor``."""
+    cross = edges[:, 0] * (q[:, 1, None] - v[:, 1]) - edges[:, 1] * (q[:, 0, None] - v[:, 0])
+    return np.all(cross >= floor, axis=1)
+
+
+def _segment_distances(q: np.ndarray, a: np.ndarray, ab: np.ndarray,
+                       denom: np.ndarray) -> np.ndarray:
+    """(k, m) distances from the rows of ``q`` to the closed segments
+    ``a + [0, 1] ab``; ``denom`` is |ab|^2, or 1 where ``ab`` is zero."""
+    t = np.zeros((q.shape[0], a.shape[0]))
+    for c in range(q.shape[1]):
+        t += (q[:, c, None] - a[:, c]) * ab[:, c]
+    t /= denom
+    np.clip(t, 0.0, 1.0, out=t)
+    sq = np.zeros_like(t)
+    for c in range(q.shape[1]):
+        off = q[:, c, None] - (a[:, c] + t * ab[:, c])
+        sq += off * off
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -145,24 +168,39 @@ class ConvexRegion:
         p = np.asarray(p, dtype=float).reshape(-1)
         return float(np.max(self.vertices @ p))
 
+    def _rows(self, zs) -> np.ndarray:
+        qs = np.asarray(zs, dtype=float)
+        if qs.ndim != 2 or qs.shape[1] != self.dim:
+            raise ValueError(f"points of shape {qs.shape} vs region dimension {self.dim}")
+        return qs
+
     def contains(self, z, tol: float = 0.0) -> bool:
+        """Whether ``z`` lies in the region, within ``tol``: a batch of one."""
         if self.is_empty:
             return False
-        z = np.asarray(z, dtype=float).reshape(-1)
-        if z.shape[0] != self.dim:
-            raise ValueError(f"point of dimension {z.shape[0]} vs region dimension {self.dim}")
-        v = self.vertices
+        return bool(self.contains_many(np.reshape(z, (1, -1)), tol)[0])
+
+    def contains_many(self, zs, tol: float = 0.0) -> np.ndarray:
+        """Whether each row of a (k, dim) array lies in the region, within ``tol``.
+
+        A polygon holds the points that every edge has on its left, up to
+        ``tol`` times the edge's length; a point or segment region holds the
+        points within ``tol`` of it.  Rows are evaluated in chunks under
+        ``core.BATCH_BYTES``.
+        """
+        qs = self._rows(zs)
+        if self.is_empty:
+            return np.zeros(qs.shape[0], dtype=bool)
         if self.dim == 1:
-            return (self.lo - tol) <= z[0] <= (self.hi + tol)
-        if v.shape[0] == 1:
-            return float(np.linalg.norm(z - v[0])) <= tol
-        if v.shape[0] == 2:
-            return point_segment_distance(z, v[0], v[1]) <= tol
+            x = qs[:, 0]
+            return (self.lo - tol <= x) & (x <= self.hi + tol)
+        v = self.vertices
+        if v.shape[0] <= 2:
+            return self.distance_many(qs) <= tol
         edges = np.roll(v, -1, axis=0) - v
-        rel = z - v
-        cross = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
-        lengths = np.linalg.norm(edges, axis=1)
-        return bool(np.all(cross >= -tol * np.maximum(lengths, 1e-300)))
+        floor = -tol * np.maximum(np.linalg.norm(edges, axis=1), 1e-300)
+        return in_chunks(lambda q: _left_of_edges(q, v, edges, floor), qs,
+                         _CROSS_BYTES * v.shape[0], dtype=bool)
 
     def contains_region(self, other: "ConvexRegion", tol: float = 0.0) -> bool:
         """True if ``other`` is a subset (convexity: vertex test suffices)."""
@@ -170,24 +208,41 @@ class ConvexRegion:
             return True
         if self.is_empty:
             return False
-        return all(self.contains(v, tol) for v in other.vertices)
+        return bool(np.all(self.contains_many(other.vertices, tol)))
 
     def distance(self, z) -> float:
-        """Euclidean distance from a point to the region (0 inside)."""
+        """Euclidean distance from a point to the region (0 inside): a batch of one."""
+        return float(self.distance_many(np.reshape(z, (1, -1)))[0])
+
+    def distance_many(self, zs) -> np.ndarray:
+        """Euclidean distance of each row of a (k, dim) array to the region.
+
+        It is 0 inside a polygon and the least distance to an edge outside;
+        a point or a segment is a polygon with degenerate edges.  Rows are
+        evaluated in chunks under ``core.BATCH_BYTES``.
+        """
         if self.is_empty:
             raise EmptyRegionError("distance to an empty region")
-        z = np.asarray(z, dtype=float).reshape(-1)
+        qs = self._rows(zs)
         if self.dim == 1:
-            return max(self.lo - z[0], z[0] - self.hi, 0.0)
+            x = qs[:, 0]
+            return np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
         v = self.vertices
-        if v.shape[0] == 1:
-            return float(np.linalg.norm(z - v[0]))
-        if self.contains(z, 0.0):
-            return 0.0
-        m = v.shape[0]
-        return min(
-            point_segment_distance(z, v[i], v[(i + 1) % m]) for i in range(m)
-        )
+        # the edges v_i -> v_i+1, cyclically: a point region is one edge of
+        # length zero, and a segment is walked both ways, so that each
+        # endpoint starts an edge and is at distance exactly 0
+        edges = np.roll(v, -1, axis=0) - v
+        denom = np.sum(edges * edges, axis=1)
+        denom[denom == 0.0] = 1.0
+
+        def block(q):
+            dist = _segment_distances(q, v, edges, denom).min(axis=1)
+            if v.shape[0] > 2:
+                dist[_left_of_edges(q, v, edges, 0.0)] = 0.0
+            return dist
+
+        # the edge test runs after the distances are reduced, not beside them
+        return in_chunks(block, qs, max(_SEGMENT_BYTES, _CROSS_BYTES) * v.shape[0])
 
     def hausdorff(self, other: "ConvexRegion") -> float:
         """Exact Hausdorff distance between convex regions.
@@ -199,9 +254,9 @@ class ConvexRegion:
             raise EmptyRegionError("Hausdorff distance needs two nonempty regions")
         if self.dim != other.dim:
             raise ValueError("regions of different dimension")
-        d_ab = max(other.distance(v) for v in self.vertices)
-        d_ba = max(self.distance(v) for v in other.vertices)
-        return max(d_ab, d_ba)
+        d_ab = other.distance_many(self.vertices).max()
+        d_ba = self.distance_many(other.vertices).max()
+        return float(max(d_ab, d_ba))
 
     def minkowski_sum(self, other: "ConvexRegion") -> "ConvexRegion":
         """Minkowski sum; the hull of pairwise vertex sums is exact here."""

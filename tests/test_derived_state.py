@@ -6,6 +6,8 @@ set of the randomized depths is shared per (dim, count, seed).  Every
 answer must equal, bitwise, the answer on a fresh cloud.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_cloud
@@ -13,7 +15,7 @@ from conftest import make_cloud
 from depthkit import DataCloud, metric, weighted
 from depthkit.core import check_postulates
 from depthkit.errors import DepthKitError
-from depthkit.functional import FunctionalSample, graph_depth
+from depthkit.functional import FunctionalSample, graph_depth, grid_depth
 from depthkit.registry import EvalOptions, available_depths, get_depth
 from depthkit.rng import direction_stream, unit_directions
 
@@ -124,6 +126,35 @@ def test_graph_depth_builds_one_index_per_grid_position(monkeypatch):
         graph_depth(curve, sample, "projection", options=OPTIONS)
     assert len(builds) == sample.k
     assert sample.point_cloud(2) is sample.point_cloud(2)
+
+
+def test_grid_depth_frees_each_direction_state(monkeypatch):
+    # the echstar frame of a 30-point planar cloud is 4·C(30, 2) × 30 floats
+    # (0.4 MB); the 105 directions of this query would hold 44 MB of frames
+    # if each direction's cloud outlived its evaluation
+    builds = []
+    frame = weighted._wm_support_frame
+
+    def counted(cloud):
+        # count without keeping the cloud alive
+        builds.append(None)
+        return frame(cloud)
+
+    monkeypatch.setattr(weighted, "_wm_support_frame", counted)
+    curves = np.cumsum(np.random.default_rng(3).standard_normal((30, 5, 2)), axis=1)
+    sample = FunctionalSample(np.linspace(0.0, 1.0, 5), curves)
+    options = EvalOptions(seed=3, budget=100)
+    z = np.median(curves, axis=0)
+    frame_bytes = 4 * (30 * 29 // 2) * 30 * 8
+    tracemalloc.start()
+    try:
+        value = grid_depth(z, sample, None, "echstar", options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert len(builds) == sample.k + options.budget
+    assert peak < 8 * frame_bytes
 
 
 def test_cloud_is_not_moved_by_writes_to_its_source():

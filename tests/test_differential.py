@@ -186,3 +186,114 @@ def test_simplicial_matches_exact_enumeration_on_lattices(ints):
         zs = np.array([[float(x) * scale, float(y) * scale] for x, y in queries])
         assert np.array_equal(spec.evaluate_many(zs, cloud), want), scale
         assert all(spec.evaluate(z, cloud) == w for z, w in zip(zs, want)), scale
+
+
+# ---------------------------------------------------------------------------
+# planar halfspace depth against exact rational enumeration
+# ---------------------------------------------------------------------------
+
+
+def exact_halfspace(q, pts):
+    """Halfspace depth of ``q`` in rationals: the fewest points in a closed
+    halfplane whose boundary passes through ``q``.
+
+    The count only changes where the boundary meets a data point, so each
+    line through ``q`` and a data point is turned a little either way: the
+    points on it then fall on the side of their ray from ``q``.
+    """
+    rels = [(x - q[0], y - q[1]) for x, y in pts if (x, y) != q]
+    if not rels:
+        return Fraction(1)
+    best = len(pts)
+    for r in rels:
+        for u in ((-r[1], r[0]), (r[1], -r[0])):
+            dots = [u[0] * s[0] + u[1] * s[1] for s in rels]
+            above = sum(dot > 0 for dot in dots)
+            on = [s for s, dot in zip(rels, dots) if dot == 0]
+            ahead = sum(r[0] * s[0] + r[1] * s[1] > 0 for s in on)
+            best = min(best, above + ahead, above + len(on) - ahead)
+    return Fraction(best + len(pts) - len(rels), len(pts))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ints=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=7, max_size=7))
+def test_halfspace_matches_exact_enumeration_on_lattices(ints):
+    pts = [(Fraction(x), Fraction(y)) for x, y in ints]
+    queries = [(Fraction(x), Fraction(y)) for x in range(-3, 4) for y in range(-3, 4)]
+    queries += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in itertools.combinations(pts, 2)]
+    want = np.array([float(exact_halfspace(q, pts)) for q in queries])
+    spec = get_depth("halfspace")
+    for scale in (1e-6, 1.0, 1e6):
+        cloud = DataCloud(np.array(ints, dtype=float) * scale)
+        zs = np.array([[float(x) * scale, float(y) * scale] for x, y in queries])
+        assert np.array_equal(spec.evaluate_many(zs, cloud), want), scale
+
+
+# ---------------------------------------------------------------------------
+# simplicial depth in three dimensions against exact rational containment
+# ---------------------------------------------------------------------------
+
+
+def _unique_solution(rows, rhs):
+    """The solution of a consistent linear system with independent columns,
+    in rationals, or None."""
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    k = len(rows[0])
+    for col in range(k):
+        pivot = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for i in range(len(m)):
+            if i != col and m[i][col] != 0:
+                f = m[i][col] / m[col][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    if any(row[-1] != 0 for row in m[k:]):
+        return None
+    return [m[i][-1] / m[i][i] for i in range(k)]
+
+
+def exact_in_hull(q, simplex):
+    """Whether ``q`` lies in the closed hull of the points of ``simplex``:
+    by Caratheodory, in the hull of some affinely independent subset."""
+    for size in range(1, len(simplex) + 1):
+        for sub in itertools.combinations(simplex, size):
+            rows = [[p[c] for p in sub] for c in range(len(q))] + [[1] * size]
+            lam = _unique_solution(rows, list(q) + [1])
+            if lam is not None and all(x >= 0 for x in lam):
+                return True
+    return False
+
+
+# seeds 8 and 9 hold flat simplices that a rounded solve at scale 1e-6 does
+# not see as singular
+@pytest.mark.parametrize("seed", range(10))
+def test_simplicial_3d_matches_exact_containment_on_lattices(seed):
+    ints = np.random.default_rng(seed).integers(-2, 3, (6, 3))
+    pts = [tuple(Fraction(int(v)) for v in p) for p in ints]
+    queries = pts + [tuple((a + b) / 2 for a, b in zip(p, r))
+                     for p, r in itertools.combinations(pts, 2)]
+    simplices = list(itertools.combinations(pts, 4))
+    want = np.array([float(Fraction(sum(exact_in_hull(q, s) for s in simplices),
+                                    len(simplices))) for q in queries])
+    spec = get_depth("simplicial")
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        cloud = DataCloud(ints * scale)
+        zs = np.array([[float(c) * scale for c in q] for q in queries])
+        assert np.array_equal(spec.evaluate_many(zs, cloud), want), scale
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 3000])
+def test_simplicial_blocks_do_not_change_counts(monkeypatch, batch_bytes):
+    from depthkit import combinatorial
+
+    rng = np.random.default_rng(4)
+    # a lattice cloud with flat simplices, and a cloud in four dimensions
+    clouds = [DataCloud(np.random.default_rng(8).integers(-2, 3, (6, 3)).astype(float)),
+              DataCloud(rng.standard_normal((7, 4)))]
+    queries = [np.vstack([c.points, rng.standard_normal((4, c.d))]) for c in clouds]
+    spec = get_depth("simplicial")
+    want = [spec.evaluate_many(zs, c) for zs, c in zip(queries, clouds)]
+    monkeypatch.setattr(combinatorial, "BATCH_BYTES", batch_bytes)
+    for zs, c, w in zip(queries, clouds, want):
+        assert np.array_equal(spec.evaluate_many(zs, c), w)
