@@ -8,6 +8,10 @@ Commands:
   fdepth <graph|grid> --curves F --base <name>    curve depths
   check-postulates <name> --data F                invariance harness
 
+``--seed`` and ``--directions`` are taken by all but ``order`` and
+``metric``, whose exact regions use neither; ``--label-column`` and
+``--skip-bad`` by all that read a point cloud, so not by ``fdepth``.
+
 Every command exits 0 on success and nonzero with a single line
 ``error: CODE: message`` on stderr otherwise.  ``--data eu27`` loads the
 bundled debt/unemployment table.  The environment variable DEPTHKIT_SEED
@@ -51,10 +55,14 @@ def _default_seed() -> int:
             f"{_ENV_SEED} must be an integer, got {raw!r}") from None
 
 
-def _add_io_flags(p: argparse.ArgumentParser):
+def _add_format_flags(p: argparse.ArgumentParser):
     p.add_argument("--delimiter", default=",", help="field separator")
     p.add_argument("--no-header", action="store_true",
                    help="treat the first row as data")
+
+
+def _add_io_flags(p: argparse.ArgumentParser):
+    _add_format_flags(p)
     p.add_argument("--label-column", type=int, default=None,
                    help="0-based label column; -1 forces all-numeric")
     p.add_argument("--skip-bad", action="store_true",
@@ -143,14 +151,19 @@ def _cmd_region(args) -> int:
     return 0
 
 
-def _cmd_order(args) -> int:
+def _lifts(args):
+    """The lifts of both clouds; both load before either lift is built."""
     spec = get_depth(args.name)
     cloud1 = _load(args.data1, args).cloud
     cloud2 = _load(args.data2, args).cloud
     alphas = (_alpha_list(args.alpha_list) if args.alpha_list
               else DEFAULT_ALPHA_GRID)
-    lift1 = depth_lift(cloud1, spec.name, alphas)
-    lift2 = depth_lift(cloud2, spec.name, alphas)
+    return (depth_lift(cloud1, spec.name, alphas),
+            depth_lift(cloud2, spec.name, alphas))
+
+
+def _cmd_order(args) -> int:
+    lift1, lift2 = _lifts(args)
     forward = depth_order_leq(lift1, lift2)
     backward = depth_order_leq(lift2, lift1)
     if forward and backward:
@@ -165,13 +178,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_metric(args) -> int:
-    spec = get_depth(args.name)
-    cloud1 = _load(args.data1, args).cloud
-    cloud2 = _load(args.data2, args).cloud
-    alphas = (_alpha_list(args.alpha_list) if args.alpha_list
-              else DEFAULT_ALPHA_GRID)
-    lift1 = depth_lift(cloud1, spec.name, alphas)
-    lift2 = depth_lift(cloud2, spec.name, alphas)
+    lift1, lift2 = _lifts(args)
     print(f"{depth_semimetric(lift1, lift2):.9g}")
     return 0
 
@@ -273,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--data1", required=True)
     p_order.add_argument("--data2", required=True)
     p_order.add_argument("--alpha-list", help="override the level grid")
-    add_eval_flags(p_order)
     _add_io_flags(p_order)
     p_order.set_defaults(func=_cmd_order)
 
@@ -282,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--data1", required=True)
     p_metric.add_argument("--data2", required=True)
     p_metric.add_argument("--alpha-list", help="override the level grid")
-    add_eval_flags(p_metric)
     _add_io_flags(p_metric)
     p_metric.set_defaults(func=_cmd_metric)
 
@@ -299,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fd.add_argument("--t-indices",
                       help="comma-separated grid positions to use")
     add_eval_flags(p_fd)
-    _add_io_flags(p_fd)
+    _add_format_flags(p_fd)
     p_fd.set_defaults(func=_cmd_fdepth)
 
     p_check = sub.add_parser("check-postulates",

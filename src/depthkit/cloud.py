@@ -38,6 +38,10 @@ def _as_points(values) -> np.ndarray:
     return pts
 
 
+def _extent(cloud: "DataCloud") -> float:
+    return float(np.max(np.ptp(cloud.points, axis=0))) if cloud.n > 1 else 0.0
+
+
 @dataclass(frozen=True)
 class DataCloud:
     """Immutable empirical sample of n points in R^d.
@@ -71,8 +75,8 @@ class DataCloud:
 
     @property
     def extent(self) -> float:
-        """Largest bounding-box edge length, 0.0 for a single point."""
-        return float(np.max(np.ptp(self.points, axis=0))) if self.n > 1 else 0.0
+        """Largest bounding-box edge length (0.0 for one point), built once."""
+        return self.derived(("extent",), _extent)
 
     @property
     def coord_tol(self) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .cloud import DataCloud
 from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
-from .core import BATCH_BYTES, clamp_depths, enumeration_size, in_chunks
-from .errors import DimensionMismatchError, InvalidAlphaError
+from .core import BATCH_BYTES, check_level, clamp_depths, enumeration_size, in_chunks
+from .errors import DimensionMismatchError
 from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull
 from .lp import feasible
 from .rng import DEFAULT_OPTIONS, EvalOptions, unit_directions
@@ -127,6 +127,20 @@ def _collinear_frame(pts: np.ndarray, tol: float):
     return None
 
 
+def _level_count(n: int, alpha: float) -> int:
+    """k = ceil(n alpha), at least 1: the fewest points that any closed
+    halfspace about a point of depth at least alpha holds."""
+    return max(int(math.ceil(n * alpha - 1e-9)), 1)
+
+
+def _trimmed_span(t: np.ndarray, k: int, tol: float):
+    """(k-th smallest, k-th largest) of ``t``, or None when they cross by
+    more than ``tol``."""
+    t = np.sort(t)
+    lo, hi = t[k - 1], t[t.shape[0] - k]
+    return None if lo > hi + tol else (lo, hi)
+
+
 def tukey_region_2d(cloud: DataCloud, alpha: float) -> ConvexRegion:
     """Upper level set {z : halfspace depth >= alpha} of a planar cloud.
 
@@ -136,26 +150,19 @@ def tukey_region_2d(cloud: DataCloud, alpha: float) -> ConvexRegion:
     by each halfplane in turn.  May be empty, a point, or a segment.
     """
     cloud.require_dim(2)
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlphaError(f"alpha must be in (0, 1], got {alpha}")
     n = cloud.n
-    k = int(math.ceil(n * alpha - 1e-9))
-    k = max(k, 1)
+    k = _level_count(n, check_level(alpha))
     pts = cloud.points
     tol = cloud.coord_tol
 
     frame = _collinear_frame(pts, 1e-12)
     if frame is not None:
         center, axis = frame
-        t = (pts - center) @ axis
-        t_sorted = np.sort(t)
-        lo, hi = t_sorted[k - 1], t_sorted[n - k]
-        if lo > hi + tol:
+        span = _trimmed_span((pts - center) @ axis, k, tol)
+        if span is None:
             return ConvexRegion.empty(2)
-        return ConvexRegion.from_points(
-            np.array([center + lo * axis, center + hi * axis])
-        )
+        lo, hi = span
+        return ConvexRegion.from_points(np.array([center + lo * axis, center + hi * axis]))
 
     iu, ju = np.triu_indices(n, k=1)
     diffs = pts[iu] - pts[ju]
@@ -191,15 +198,9 @@ def halfspace_region(cloud: DataCloud, alpha: float) -> ConvexRegion:
         return tukey_region_2d(cloud, alpha)
     if cloud.d != 1:
         raise DimensionMismatchError("halfspace regions are available in d <= 2")
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlphaError(f"alpha must be in (0, 1], got {alpha}")
-    n = cloud.n
-    k = max(int(math.ceil(n * alpha - 1e-9)), 1)
-    values = np.sort(cloud.points[:, 0])
-    if values[k - 1] > values[n - k]:
-        return ConvexRegion.empty(1)
-    return ConvexRegion.interval(values[k - 1], values[n - k])
+    k = _level_count(cloud.n, check_level(alpha))
+    span = _trimmed_span(cloud.points[:, 0], k, 0.0)
+    return ConvexRegion.empty(1) if span is None else ConvexRegion.interval(*span)
 
 
 # ---------------------------------------------------------------------------

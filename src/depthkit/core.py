@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 import numpy as np
 
 from .cloud import DataCloud
-from .errors import EnumerationTooLargeError, NestingViolationError
+from .errors import EnumerationTooLargeError, InvalidAlphaError, NestingViolationError
 
 if TYPE_CHECKING:
     from .geometry import ConvexRegion
@@ -31,6 +31,14 @@ _VARIANTS = {"affine": "D2", "isometric": "D2iso", "scale": "D2sca"}
 BATCH_BYTES = 16 * 2**20
 #: most simplices (or point subsets) a depth may enumerate per query
 SIMPLEX_ENUMERATION_CAP = 2_000_000
+
+
+def check_level(alpha) -> float:
+    """``alpha`` as a float, refused unless in (0, 1] (so NaN and +-inf too)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidAlphaError(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
 
 
 def clamp_depth(value: float) -> float:

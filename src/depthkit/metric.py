@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .cloud import DataCloud
-from .core import BATCH_BYTES, clamp_depths, enumeration_size, in_chunks
+from .core import BATCH_BYTES, check_level, clamp_depths, enumeration_size, in_chunks
 from .errors import SingularScatterError, ZeroMadError
 from .geometry import ConvexRegion
 
@@ -136,19 +136,19 @@ def mahalanobis_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT)
     return float(mahalanobis_depth_many(cloud.point_of(z)[None], cloud, estimator)[0])
 
 
+#: vertices of the polygon that stands for a planar Mahalanobis ellipse
+ELLIPSE_VERTICES = 128
+
+
 def mahalanobis_region(cloud: DataCloud, alpha: float,
-                       estimator: ScatterEstimator = MOMENT,
-                       n_vertices: int = 128) -> ConvexRegion:
-    """Level set {z : depth >= alpha}: an ellipse polygonized at ``n_vertices``.
+                       estimator: ScatterEstimator = MOMENT) -> ConvexRegion:
+    """Level set {z : depth >= alpha}: an ellipse polygonized at ``ELLIPSE_VERTICES``.
 
     The boundary is ||z - c||^2 = 1/alpha - 1 in the scatter metric, so the
     polygon is the cholesky image of a regular circle scaled by the radius.
     In d=1 the region is the exact interval.
     """
-    from .errors import InvalidAlphaError
-
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlphaError(f"alpha must be in (0, 1], got {alpha}")
+    alpha = check_level(alpha)
     center, _, chol = estimator.estimate(cloud)
     radius = math.sqrt(max(1.0 / alpha - 1.0, 0.0))
     if cloud.d == 1:
@@ -158,7 +158,7 @@ def mahalanobis_region(cloud: DataCloud, alpha: float,
         raise ValueError("regions are available in d <= 2")
     if radius == 0.0:
         return ConvexRegion.single(center)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_vertices, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_VERTICES, endpoint=False)
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
     return ConvexRegion.from_points(center + radius * (circle @ chol.T))
 

@@ -15,17 +15,19 @@ from typing import Sequence
 import numpy as np
 
 from .cloud import DataCloud
+from .core import check_level
 from .errors import (
     EmptyRegionError,
     GridMismatchError,
-    InvalidAlphaError,
     NestingViolationError,
     UnsupportedLiftError,
 )
 from .geometry import ConvexRegion
-from .registry import DEFAULT_OPTIONS, EvalOptions, get_depth
+from .registry import DEFAULT_OPTIONS, DepthSpec, EvalOptions, get_depth
 
 DEFAULT_GRID_RESOLUTION = 256
+#: share of the data's span added on every side of the grid window
+_GRID_PADDING = 0.10
 #: levels 0.01, 0.02, ..., 1.00
 DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(1, 101) / 100.0, 2))
 #: relative slack for containment checks between exactly-touching regions
@@ -217,15 +219,14 @@ class RegionContour:
         return any(r.contains_point(z) for r in self.rings)
 
 
-def _grid_field(cloud: DataCloud, batch_fn, resolution: int,
-                padding: float = 0.10):
+def _grid_field(cloud: DataCloud, batch_fn, resolution: int):
     pts = cloud.points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9 * np.maximum(np.abs(hi), 1.0))
     span = np.maximum(span, 1e-9)
-    lo = lo - padding * span
-    hi = hi + padding * span
+    lo = lo - _GRID_PADDING * span
+    hi = hi + _GRID_PADDING * span
     xs = np.linspace(lo[0], hi[0], resolution)
     ys = np.linspace(lo[1], hi[1], resolution)
     gx, gy = np.meshgrid(xs, ys)
@@ -237,22 +238,8 @@ def _grid_field(cloud: DataCloud, batch_fn, resolution: int,
 def region_contour(cloud: DataCloud, depth_name: str, alpha: float,
                    options: EvalOptions = DEFAULT_OPTIONS,
                    resolution: int = DEFAULT_GRID_RESOLUTION) -> RegionContour:
-    """Upper level set {z : D(z) >= alpha} for one depth at one level.
-
-    Uses the exact region constructor when the depth registers one;
-    otherwise evaluates the depth on a padded grid and traces contours.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1], got {alpha}")
-    spec = get_depth(depth_name)
-    if spec.region_fn is not None:
-        region = spec.region_fn(cloud, alpha)
-        return RegionContour(spec.name, float(alpha), True, region, ())
-    cloud.require_dim(2)
-    batch = lambda qs: spec.evaluate_many(qs, cloud, options)
-    xs, ys, field = _grid_field(cloud, batch, resolution)
-    rings = marching_squares(xs, ys, field, alpha)
-    return RegionContour(spec.name, float(alpha), False, None, tuple(rings))
+    """Upper level set {z : D(z) >= alpha} for one depth at one level."""
+    return region_contours(cloud, depth_name, [alpha], options, resolution)[0]
 
 
 def region_contours(cloud: DataCloud, depth_name: str,
@@ -260,34 +247,38 @@ def region_contours(cloud: DataCloud, depth_name: str,
                     options: EvalOptions = DEFAULT_OPTIONS,
                     resolution: int = DEFAULT_GRID_RESOLUTION,
                     ) -> list[RegionContour]:
-    """Level sets for several alphas, sharing one grid evaluation."""
-    levels = [float(a) for a in alphas]
-    for a in levels:
-        if not 0.0 < a <= 1.0:
-            raise InvalidAlphaError(f"alpha must lie in (0, 1], got {a}")
+    """Upper level sets {z : D(z) >= alpha} for one depth at several levels.
+
+    Uses the exact region constructor when the depth registers one;
+    otherwise evaluates the depth once on a padded grid and traces the
+    contours of every level on it.
+    """
+    levels = [check_level(a) for a in alphas]
     spec = get_depth(depth_name)
     if spec.region_fn is not None:
-        return [region_contour(cloud, depth_name, a, options) for a in levels]
+        return [RegionContour(spec.name, a, True, spec.region_fn(cloud, a), ())
+                for a in levels]
     cloud.require_dim(2)
     batch = lambda qs: spec.evaluate_many(qs, cloud, options)
     xs, ys, field = _grid_field(cloud, batch, resolution)
-    out = []
-    for a in levels:
-        rings = marching_squares(xs, ys, field, a)
-        out.append(RegionContour(spec.name, a, False, None, tuple(rings)))
-    return out
+    return [RegionContour(spec.name, a, False, None,
+                          tuple(marching_squares(xs, ys, field, a)))
+            for a in levels]
 
 
-def central_region(cloud: DataCloud, depth_name: str, alpha: float,
-                   options: EvalOptions = DEFAULT_OPTIONS) -> ConvexRegion:
-    """Exact alpha-central region; raises for depths without a constructor."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1], got {alpha}")
+def _exact_spec(depth_name: str) -> DepthSpec:
+    """The registry entry of a depth that has an exact region constructor."""
     spec = get_depth(depth_name)
     if spec.region_fn is None:
         raise UnsupportedLiftError(
             f"depth '{spec.name}' has no exact region constructor")
-    return spec.region_fn(cloud, alpha)
+    return spec
+
+
+def central_region(cloud: DataCloud, depth_name: str, alpha: float) -> ConvexRegion:
+    """Exact alpha-central region; raises for depths without a constructor."""
+    alpha = check_level(alpha)
+    return _exact_spec(depth_name).region_fn(cloud, alpha)
 
 
 def hausdorff_distance(a: ConvexRegion, b: ConvexRegion) -> float:
@@ -322,7 +313,6 @@ class DepthLift:
 
 def depth_lift(cloud: DataCloud, depth_name: str,
                alphas: Sequence[float] = DEFAULT_ALPHA_GRID,
-               options: EvalOptions = DEFAULT_OPTIONS,
                assume_renormalized: bool = False) -> DepthLift:
     """Build the lift: slice at alpha is the alpha-central region scaled by alpha.
 
@@ -331,18 +321,12 @@ def depth_lift(cloud: DataCloud, depth_name: str,
     for a depth with an exact region constructor whose maximum falls short
     of 1 (empty top slices are then dropped).
     """
-    spec = get_depth(depth_name)
-    if spec.region_fn is None:
-        raise UnsupportedLiftError(
-            f"depth '{spec.name}' has no exact region constructor")
+    spec = _exact_spec(depth_name)
     if not spec.lift_ready and not assume_renormalized:
         raise UnsupportedLiftError(
             f"depth '{spec.name}' does not reach level 1 on samples; "
             "pass assume_renormalized=True to lift the nonempty slices")
-    levels = sorted(float(a) for a in alphas)
-    for a in levels:
-        if not 0.0 < a <= 1.0:
-            raise InvalidAlphaError(f"alpha must lie in (0, 1], got {a}")
+    levels = [check_level(a) for a in sorted(map(float, alphas))]
     kept_alphas: list[float] = []
     raw: list[ConvexRegion] = []
     for a in levels:

@@ -18,19 +18,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .cloud import DataCloud
-from .core import clamp_depth
+from .core import check_level, clamp_depth
 from .errors import DimensionMismatchError, InvalidAlphaError
 from .geometry import ConvexRegion
 from .lp import solve_lp
 
 _FLOOR_GUARD = 1e-9
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0 or not math.isfinite(alpha):
-        raise InvalidAlphaError(f"alpha must be in (0, 1], got {alpha}")
-    return alpha
+#: width of the final bracket of the bisection in ``wm_depth``
+_ALPHA_TOL = 1e-6
 
 
 def _zonoid_rule(n: int, alpha: float) -> np.ndarray:
@@ -99,7 +94,7 @@ def weights(scheme: WeightScheme, n: int, alpha: float) -> np.ndarray:
     """Weight vector of ``scheme`` for sample size n at level alpha."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    alpha = _check_alpha(alpha)
+    alpha = check_level(alpha)
     w = np.asarray(scheme.rule(n, alpha), dtype=float)
     if w.shape != (n,):
         raise ValueError(f"scheme {scheme.name!r} returned shape {w.shape} for n={n}")
@@ -166,6 +161,15 @@ def wm_region_1d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> Convex
     return ConvexRegion.interval(lo, hi)
 
 
+def _pair_differences(cloud: DataCloud) -> np.ndarray:
+    """Differences of the pairs of points, keeping those longer than
+    1e-12 times the larger of 1 and the cloud's extent."""
+    pts = cloud.points
+    iu, ju = np.triu_indices(cloud.n, k=1)
+    diffs = pts[iu] - pts[ju]
+    return diffs[np.linalg.norm(diffs, axis=1) > 1e-12 * max(1.0, cloud.extent)]
+
+
 def wm_region_2d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> ConvexRegion:
     """Exact level-alpha region of a planar cloud.
 
@@ -176,16 +180,9 @@ def wm_region_2d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> Convex
     weighted means is the region.
     """
     cloud.require_dim(2)
-    alpha = _check_alpha(alpha)
     w = weights(scheme, cloud.n, alpha)
     pts = cloud.points
-    n = pts.shape[0]
-    if n == 1:
-        return ConvexRegion.single(pts[0])
-    iu, ju = np.triu_indices(n, k=1)
-    diffs = pts[iu] - pts[ju]
-    keep = np.linalg.norm(diffs, axis=1) > 1e-12 * max(1.0, cloud.extent)
-    diffs = diffs[keep]
+    diffs = _pair_differences(cloud)
     if diffs.shape[0] == 0:
         return ConvexRegion.single(pts[0])
     base = np.arctan2(diffs[:, 1], diffs[:, 0])
@@ -229,17 +226,13 @@ def _wm_support_frame(cloud: DataCloud):
     ``dirs @ q`` per query.
     """
     pts = cloud.points
-    n = pts.shape[0]
     if cloud.d == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        iu, ju = np.triu_indices(n, k=1)
-        diffs = pts[iu] - pts[ju]
-        norms = np.linalg.norm(diffs, axis=1)
-        keep = norms > 1e-12 * max(1.0, cloud.extent)
-        diffs = diffs[keep] / norms[keep, None]
+        diffs = _pair_differences(cloud)
         if diffs.shape[0] == 0:
             return None
+        diffs = diffs / np.linalg.norm(diffs, axis=1)[:, None]
         # perpendiculars support the full-dimensional part; the difference
         # directions themselves pin down regions that collapse to segments
         perp = np.column_stack([-diffs[:, 1], diffs[:, 0]])
@@ -250,14 +243,14 @@ def _wm_support_frame(cloud: DataCloud):
     return dirs, proj, denom
 
 
-def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, alpha_tol: float = 1e-6) -> float:
+def wm_depth(z, cloud: DataCloud, scheme: WeightScheme) -> float:
     """sup{alpha : z in region(alpha)} by bisection on the nested family.
 
     Membership in the level-alpha region is decided through the region's
     support function on the critical directions (pairwise differences and
     their perpendiculars), so no polygons are built.  Exact 0 outside the
     convex hull of the data; exact 1 inside the level-1 region; otherwise
-    bisected to ``alpha_tol``.
+    bisected to ``_ALPHA_TOL``.
     """
     q = cloud.point_of(z)
     if cloud.d > 2:
@@ -285,7 +278,7 @@ def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, alpha_tol: float = 1e-6)
     if feasible(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > alpha_tol:
+    while hi - lo > _ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from depthkit.cli import main
+from depthkit.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_csv(tmp_path, points, name="cloud.csv"):
@@ -269,6 +273,35 @@ def test_fdepth_inadmissible_base(constant_curves, capsys):
                        "--base", "random-tukey")
     assert rc == 2
     assert err.startswith("error: UNKNOWN_DEPTH:")
+
+
+def test_flags_that_nothing_reads_are_refused(tmp_path, constant_curves):
+    a = write_csv(tmp_path, centered(14, 8), "a.csv")
+    for argv in (["order", "zonoid", "--data1", a, "--data2", a, "--seed", "1"],
+                 ["metric", "zonoid", "--data1", a, "--data2", a, "--directions", "9"],
+                 ["fdepth", "graph", "--curves", constant_curves, "--skip-bad"],
+                 ["fdepth", "graph", "--curves", constant_curves, "--label-column", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def _readme_commands():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("depthkit ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 # ---------------------------------------------------------------------------

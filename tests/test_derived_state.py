@@ -169,6 +169,23 @@ def test_cloud_is_not_moved_by_writes_to_its_source():
     assert metric.projection_depth(z, DataCloud(before), 40, 3) == depth
 
 
+def test_extent_is_built_once_per_cloud(monkeypatch):
+    pts = np.random.default_rng(10).standard_normal((9, 2)) * [3.0, 0.5]
+    expected = float(np.max(np.ptp(pts, axis=0)))
+    cloud = DataCloud(pts)
+    assert cloud.extent == expected
+    assert DataCloud(pts[:1]).extent == 0.0
+    calls = []
+    ptp = np.ptp
+    monkeypatch.setattr(np, "ptp", lambda *a, **k: calls.append(1) or ptp(*a, **k))
+    for _ in range(3):
+        assert cloud.extent == expected
+        assert cloud.coord_tol == 1e-9 * max(1.0, expected)
+    assert calls == []
+    # a new cloud builds its own
+    assert DataCloud(pts).extent == expected and calls == [1]
+
+
 def test_caller_arrays_stay_writable():
     pts = np.random.default_rng(8).standard_normal((6, 2))
     cloud = DataCloud(pts)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import make_cloud
 
+from depthkit.combinatorial import halfspace_region, tukey_region_2d
 from depthkit.core import DataCloud
+from depthkit.metric import mahalanobis_region
 from depthkit.registry import EvalOptions
 from depthkit.errors import (
     EmptyRegionError,
@@ -26,6 +28,7 @@ from depthkit.regions import (
     region_contour,
     region_contours,
 )
+from depthkit.weighted import ZONOID, weights, wm_region
 
 OPTS = EvalOptions()
 
@@ -174,15 +177,29 @@ def test_region_contours_nested_on_shared_grid():
                        for r in low.rings)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.0001, float("nan")])
+@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.0001, float("nan"), float("inf")])
 def test_region_contour_rejects_bad_alpha(alpha):
     cloud = make_cloud(0, 8)
+    line = DataCloud(cloud.points[:, 0])
     with pytest.raises(InvalidAlphaError):
         region_contour(cloud, "mahalanobis", alpha)
     with pytest.raises(InvalidAlphaError):
         region_contours(cloud, "mahalanobis", [0.5, alpha])
     with pytest.raises(InvalidAlphaError):
         central_region(cloud, "mahalanobis", alpha)
+    with pytest.raises(InvalidAlphaError):
+        depth_lift(cloud, "zonoid", (0.5, alpha))
+    with pytest.raises(InvalidAlphaError):
+        tukey_region_2d(cloud, alpha)
+    for c in (line, cloud):
+        with pytest.raises(InvalidAlphaError):
+            halfspace_region(c, alpha)
+    with pytest.raises(InvalidAlphaError):
+        mahalanobis_region(cloud, alpha)
+    with pytest.raises(InvalidAlphaError):
+        wm_region(cloud, ZONOID, alpha)
+    with pytest.raises(InvalidAlphaError):
+        weights(ZONOID, cloud.n, alpha)
 
 
 def test_central_region_requires_exact_constructor():
