@@ -1,10 +1,10 @@
 """Combinatorial depths: halfspace (Tukey), its regions, and simplicial depth.
 
 Values are exact fractions of counts, so equal inputs give bitwise equal
-outputs.  The planar halfspace depth minimises over the critical lines
-through the query; Tukey regions intersect the finitely many binding
-halfplanes; simplicial depth enumerates closed simplices, for a whole batch
-of queries at once.
+outputs.  Planar halfspace and simplicial depth are two reductions of one
+table: the data points' sides of the lines through the query and each data
+point.  Tukey regions intersect the finitely many binding halfplanes;
+simplicial depth in d >= 3 enumerates closed simplices.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from . import core
 from .cloud import DataCloud
 from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
 from .core import BATCH_BYTES, check_level, clamp_depths, enumeration_size, in_chunks
@@ -23,10 +24,88 @@ from .lp import feasible
 from .rng import DEFAULT_OPTIONS, EvalOptions, unit_directions
 
 
-#: a query within this share of the cloud's extent of a data point coincides
-#: with it, and of a triangle's boundary lies on it; a triangle no higher
-#: than that is a segment
+#: a data point within this share of the cloud's extent of the query
+#: coincides with it, and two whose directions from the query are this close
+#: (as the sine of the angle between them) lie on one line through it; in
+#: d >= 3, a simplex no larger in the extent's units is flat
 _BOUNDARY_REL_TOL = 1e-12
+#: working set per (query, anchor, data point) entry of :func:`_line_tables`
+_LINE_ENTRY_BYTES = 40
+#: the most entries it takes at once, whatever the budget: bigger blocks
+#: run slower, as their temporaries leave the cache and are paged in afresh
+_LINE_BLOCK_ENTRIES = 2**14
+
+
+# ---------------------------------------------------------------------------
+# planar halfspace and simplicial depth: lines through the query
+# ---------------------------------------------------------------------------
+
+
+def _count(mask: np.ndarray) -> np.ndarray:
+    """Trues along the last axis (summing bytes beats ``np.count_nonzero``)."""
+    return np.add.reduce(mask.view(np.uint8), axis=-1, dtype=np.int32)
+
+
+def _cross(xa, ya, x, y) -> np.ndarray:
+    """cross(a, b) of the anchors (xa, ya) with the points (x, y), batched
+    over the leading axes.  Two rounded products and their difference make
+    cross(a, b) = -cross(b, a) bitwise, and 0 for equal rows."""
+    cross = np.einsum("...a,...b->...ab", xa, y)
+    cross -= np.einsum("...a,...b->...ab", ya, x)
+    return cross
+
+
+def _line_tables(qs: np.ndarray, cloud: DataCloud):
+    """Per chunk of the planar queries ``qs``: its rows and the (m, n) tables
+    ``fewest`` and ``k`` over the data points a as anchors.
+
+    A point a farther than the tolerance from q spans a line through q.
+    Every point b lies left of it, right of it or on it, by the sign of the
+    cross product of their unit directions from q beyond the tolerance (so
+    b is left of a exactly when a is right of b), and a point on it lies
+    ahead of q or behind.  ``fewest`` = min(left, right) + min(ahead,
+    behind) + the points that coincide with q is the fewest points a closed
+    halfplane beside the line holds (n if a coincides with q).  ``k`` counts
+    the points left of a or ahead of it with a larger index: a closed
+    triangle misses q exactly when its vertices fit in an open halfplane
+    bounded by a line through q, and then it is a pair of the k points of
+    its most clockwise vertex and of no other; points on opposite rays
+    never fit.  Blocks stay within ``core.BATCH_BYTES``.
+    """
+    pts, n = cloud.points, cloud.n
+    tol = _BOUNDARY_REL_TOL * cloud.extent
+    rows = max(1, min(core.BATCH_BYTES // _LINE_ENTRY_BYTES, _LINE_BLOCK_ENTRIES) // n)
+    width, step = min(n, rows), max(1, rows // n)  # anchors and queries per block
+    for start in range(0, qs.shape[0], step):
+        rel = pts - qs[start:start + step, None]
+        dist = np.hypot(rel[:, :, 0], rel[:, :, 1])
+        far = dist > tol
+        # unit directions; a coincident point becomes the origin: on every
+        # line, neither ahead nor behind
+        scale = np.where(far, dist, np.inf)
+        x, y = rel[:, :, 0] / scale, rel[:, :, 1] / scale
+        left, right = np.empty((2,) + x.shape, dtype=np.int32)
+        for a in range(0, n, width):
+            block = slice(a, a + width)
+            cross = _cross(x[:, block], y[:, block], x, y)
+            left[:, block] = _count(cross > _BOUNDARY_REL_TOL)
+            right[:, block] = _count(cross < -_BOUNDARY_REL_TOL)
+        n_far = _count(far)[:, None]
+        on = n_far - left - right
+        fewest = np.where(far, np.minimum(left, right) + (n - n_far), n)
+        # the points on an anchor's line, itself included, split by their ray
+        qi, ai = np.nonzero(far & (on > 1))
+        for i in range(0, qi.size, rows):
+            q, p = qi[i:i + rows], ai[i:i + rows]
+            xq, yq, xp, yp = x[q], y[q], x[q, p, None], y[q, p, None]
+            line = np.abs(_cross(xp, yp, xq, yq)[:, 0]) <= _BOUNDARY_REL_TOL
+            along = xq * xp
+            along += yq * yp
+            behind = _count(line & (along < 0.0))
+            fewest[q, p] += np.minimum(on[q, p] - behind, behind)
+            line &= far[q] & (along >= 0.0) & (np.arange(n) > p[:, None])
+            left[q, p] += _count(line)
+        yield slice(start, start + step), fewest, left
 
 
 # ---------------------------------------------------------------------------
@@ -50,43 +129,11 @@ def halfspace_depth_2d(z, cloud: DataCloud) -> float:
     The count of points in the closed halfplane {x : <u, x - z> >= 0} is
     piecewise constant in the angle of u and changes only where the boundary
     line passes through a data point, so the minimum is attained just beside
-    such a line.  Beside the line through z and a data point p, the points
-    off the line count by their side of it and the points on it by their ray
-    from z, so the fewest points a halfplane there can hold is
-    min(left, right) + min(ahead, behind).  A point within
-    ``_BOUNDARY_REL_TOL`` times the cloud's extent of z coincides with it and
-    lies in every halfplane; a point that close to a line lies on it.
+    such a line (:func:`_line_tables`).
     """
     cloud.require_dim(2)
-    q = cloud.point_of(z)
-    rel = cloud.points - q
-    dist = np.linalg.norm(rel, axis=1)
-    tol = _BOUNDARY_REL_TOL * cloud.extent
-    far = dist > tol
-    coincident = cloud.n - int(np.count_nonzero(far))
-    rel, dist = rel[far], dist[far]
-    if rel.shape[0] == 0:
-        return 1.0
-    normals = np.array([rel[:, 1], -rel[:, 0]])
-
-    def block(lines):
-        # cross(p, r) / |p| is the signed distance of r from the line along p
-        side = lines[:, :2] @ normals
-        slack = tol * lines[:, 2:3]
-        left, right = side > slack, side < -slack
-        n_left, n_right = left.sum(axis=1), right.sum(axis=1)
-        fewest = np.minimum(n_left, n_right)
-        on = rel.shape[0] - n_left - n_right
-        # p itself is ahead on its line; behind it only if a point is too
-        multi = np.flatnonzero(on > 1)
-        if multi.size:
-            along = lines[multi, :2] @ rel.T
-            behind = np.count_nonzero(~left[multi] & ~right[multi] & (along < 0.0), axis=1)
-            fewest[multi] += np.minimum(on[multi] - behind, behind)
-        return fewest
-
-    counts = in_chunks(block, np.column_stack([rel, dist]), 24 * rel.shape[0])
-    return (int(counts.min()) + coincident) / cloud.n
+    (_, fewest, _), = _line_tables(cloud.point_of(z)[None], cloud)
+    return int(fewest.min()) / cloud.n
 
 
 def halfspace_depth(z, cloud: DataCloud) -> float:
@@ -221,60 +268,6 @@ def _segments_containing(qs: np.ndarray, cloud: DataCloud, total: int) -> np.nda
     return in_chunks(block, qs, 3 * values.size)
 
 
-def _triangles_containing(qs: np.ndarray, cloud: DataCloud) -> np.ndarray:
-    """Closed data triangles containing each query, counted over all triangles.
-
-    Orientation is tested in difference form, cross(b - a, q - a), with each
-    triangle's orientation sign folded into its edge vectors.  A query within
-    the boundary tolerance of an edge counts as on it.  A triangle no higher
-    than that tolerance over its longest edge is that edge, a segment (or a
-    point), and contains the queries within the tolerance of it.
-    """
-    pts = cloud.points
-    tri = np.array(list(combinations(range(cloud.n), 3)))
-    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    anchors = np.stack([a, b, c])
-    edges = np.stack([b - a, c - b, a - c])
-    lengths = np.linalg.norm(edges, axis=2)
-    tol = _BOUNDARY_REL_TOL * cloud.extent
-    flat = np.abs(area) <= tol * lengths.max(axis=0)
-
-    solid = ~flat
-    sign = np.where(area[solid] > 0.0, 1.0, -1.0)
-    s_anchor = anchors[:, solid]
-    s_edge = edges[:, solid] * sign[None, :, None]
-    s_floor = -tol * lengths[:, solid]
-    # the longest edge of a flat triangle spans its hull
-    flat_idx = np.flatnonzero(flat)
-    longest = np.argmax(lengths[:, flat_idx], axis=0)
-    f_start = anchors[longest, flat_idx]
-    f_edge = edges[longest, flat_idx]
-    f_len2 = np.sum(f_edge * f_edge, axis=1)
-    f_len2 = np.where(f_len2 > 0.0, f_len2, 1.0)
-
-    def block(q):
-        inside = np.ones((q.shape[0], s_edge.shape[1]), dtype=bool)
-        u = np.empty(inside.shape)
-        v = np.empty(inside.shape)
-        for p, e, floor in zip(s_anchor, s_edge, s_floor):
-            np.subtract(q[:, 1:2], p[:, 1], out=u)
-            u *= e[:, 0]
-            np.subtract(q[:, 0:1], p[:, 0], out=v)
-            v *= e[:, 1]
-            u -= v
-            inside &= u >= floor
-        count = inside.sum(axis=1)
-        if f_edge.shape[0]:
-            w = q[:, None, :] - f_start[None]
-            t = np.clip(np.sum(w * f_edge, axis=2) / f_len2, 0.0, 1.0)
-            off = w - t[:, :, None] * f_edge
-            count += np.count_nonzero(np.sum(off * off, axis=2) <= tol * tol, axis=1)
-        return count
-
-    return in_chunks(block, qs, 20 * s_edge.shape[1] + 64 * f_edge.shape[0])
-
-
 def _simplices_containing(q: np.ndarray, cloud: DataCloud) -> int:
     # barycentric coordinates of the query in coordinates centred at it and
     # divided by the cloud's extent, so that the slack and the feasibility
@@ -303,9 +296,9 @@ def _simplices_containing(q: np.ndarray, cloud: DataCloud) -> int:
 def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     """Fraction of closed data simplices (d+1 vertices) containing each row.
 
-    Exact enumeration; raises when the number of simplices exceeds the
-    enumeration cap.  Supported for d <= 4; d <= 2 is vectorised over the
-    queries.
+    Exact for d <= 4: in d <= 2 it counts the simplices that miss each
+    query, vectorised over the queries; beyond, it enumerates them.  Raises
+    when C(n, d+1) exceeds the enumeration cap.
     """
     qs = cloud.points_of(zs)
     n, d = cloud.n, cloud.d
@@ -317,7 +310,10 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     if d == 1:
         counts = _segments_containing(qs, cloud, total)
     elif d == 2:
-        counts = _triangles_containing(qs, cloud)
+        counts = np.full(qs.shape[0], float(total))
+        for rows, _, k in _line_tables(qs, cloud):
+            # each triangle that misses a query, at its most clockwise vertex
+            counts[rows] -= (k * (k - 1) // 2).sum(axis=1)
     else:
         counts = np.array([_simplices_containing(q, cloud) for q in qs], dtype=float)
     return clamp_depths(counts / total)

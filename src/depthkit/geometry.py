@@ -295,13 +295,6 @@ class ConvexRegion:
         cross = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
         return float(max(0.0, -np.min(cross)))
 
-    def approx_equal(self, other: "ConvexRegion", tol: float) -> bool:
-        if self.is_empty and other.is_empty:
-            return True
-        if self.is_empty or other.is_empty:
-            return False
-        return self.hausdorff(other) <= tol
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.is_empty:
             raise EmptyRegionError("bounding box of an empty region")

@@ -1,12 +1,14 @@
 """Halfspace and simplicial depths against independent enumeration oracles."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from conftest import make_cloud
 
+from depthkit import core
 from depthkit.combinatorial import (
     SIMPLEX_ENUMERATION_CAP,
     halfspace_depth,
@@ -222,6 +224,56 @@ def test_simplicial_many_matches_scalar():
     many = simplicial_depth_many(zs, cloud)
     singles = [simplicial_depth(z, cloud) for z in zs]
     assert np.array_equal(many, np.array(singles))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_line_table_cross_products_are_antisymmetric(scale):
+    # the once-per-triangle count needs cross(a, b) = -cross(b, a) bitwise;
+    # a BLAS product of the stacked coordinates does not give that
+    from depthkit.combinatorial import _cross
+
+    rng = np.random.default_rng(6)
+    x, y = rng.standard_normal((2, 3, 50)) * scale
+    cross = _cross(x, y, x, y)
+    assert np.array_equal(cross, -cross.transpose(0, 2, 1))
+    assert not np.diagonal(cross, axis1=1, axis2=2).any()
+
+
+def test_points_on_one_ray_count_each_triangle_once():
+    # the third point is a rounding-sized step off the ray through the first
+    # two.  Judged by distances from the lines it would be on the line seen
+    # from one point and off it seen from another; the rule must be
+    # symmetric, or a triangle counts as missing the query at two vertices
+    cloud = DataCloud(np.array([[1.0, 2.0], [2.0, 4.0], [0.5 + 2e-12, 1.0 - 1e-12]]))
+    assert simplicial_depth_many(np.zeros((1, 2)), cloud)[0] == 0.0
+    assert halfspace_depth_2d(np.zeros(2), cloud) == 0.0
+
+
+@pytest.mark.parametrize("collinear", [False, True])
+@pytest.mark.parametrize("depth", ["halfspace", "simplicial"])
+def test_planar_working_set_stays_within_the_batch_budget(monkeypatch, depth, collinear):
+    budget = 2**20
+    monkeypatch.setattr(core, "BATCH_BYTES", budget)
+    rng = np.random.default_rng(5)
+    n, m = (1000, 1) if depth == "halfspace" else (60, 4000)
+    # on a line, every anchor's line holds all the points
+    t = rng.standard_normal(n)
+    pts = np.outer(t, [1.0, 2.0]) if collinear else rng.standard_normal((n, 2))
+    cloud = DataCloud(pts)
+    zs = pts[rng.integers(0, n, m)] if collinear else rng.uniform(-1.5, 1.5, (m, 2))
+    if depth == "halfspace":
+        run = lambda: halfspace_depth_2d(zs[0], cloud)  # noqa: E731
+    else:
+        run = lambda: simplicial_depth_many(zs, cloud)  # noqa: E731
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's working set plus the (m,) result and small constants
+    assert peak <= budget + 8 * m + 2**14
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import make_cloud
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from depthkit import DataCloud
@@ -174,6 +174,7 @@ def exact_simplicial(q, pts):
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(ints=st.lists(st.tuples(st.integers(-3, 5), st.integers(-3, 5)), min_size=7, max_size=7))
+@example(ints=[(2, -1)] * 7)
 def test_simplicial_matches_exact_enumeration_on_lattices(ints):
     pts = [(Fraction(x), Fraction(y)) for x, y in ints]
     queries = [(Fraction(x), Fraction(y)) for x in range(-3, 6, 2) for y in range(-3, 6, 2)]
@@ -181,7 +182,7 @@ def test_simplicial_matches_exact_enumeration_on_lattices(ints):
     queries += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in itertools.combinations(pts, 2)]
     want = np.array([float(exact_simplicial(q, pts)) for q in queries])
     spec = get_depth("simplicial")
-    for scale in (1e-3, 1.0, 1e3):
+    for scale in SCALES:
         cloud = DataCloud(np.array(ints, dtype=float) * scale)
         zs = np.array([[float(x) * scale, float(y) * scale] for x, y in queries])
         assert np.array_equal(spec.evaluate_many(zs, cloud), want), scale
@@ -217,6 +218,7 @@ def exact_halfspace(q, pts):
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(ints=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=7, max_size=7))
+@example(ints=[(2, -1)] * 7)
 def test_halfspace_matches_exact_enumeration_on_lattices(ints):
     pts = [(Fraction(x), Fraction(y)) for x, y in ints]
     queries = [(Fraction(x), Fraction(y)) for x in range(-3, 4) for y in range(-3, 4)]
@@ -227,6 +229,38 @@ def test_halfspace_matches_exact_enumeration_on_lattices(ints):
         cloud = DataCloud(np.array(ints, dtype=float) * scale)
         zs = np.array([[float(x) * scale, float(y) * scale] for x, y in queries])
         assert np.array_equal(spec.evaluate_many(zs, cloud), want), scale
+
+
+@st.composite
+def planar_clouds(draw):
+    """(points, queries): a lattice, collinear or all-coincident planar cloud
+    at scale 1e-6, 1 or 1e6, queried at its points, its edge midpoints,
+    lattice points and far outside."""
+    n = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["lattice", "collinear", "coincident"]))
+    if kind == "lattice":
+        ints = _lattice(draw, n, 2)
+    elif kind == "collinear":
+        ints = _lattice(draw, 1, 2) + _lattice(draw, n, 1, -4, 4) * _lattice(draw, 1, 2, 1, 3)
+    else:
+        ints = np.repeat(_lattice(draw, 1, 2), n, axis=0)
+    mids = [(ints[i] + ints[j]) / 2.0 for i, j in itertools.combinations(range(n), 2)]
+    queries = np.vstack([ints, mids, _lattice(draw, 4, 2, -5, 5), [[40.0, -40.0]]])
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    return ints * scale, queries * scale
+
+
+@SETTINGS
+@given(case=planar_clouds())
+@example(case=(np.array([[1.0, -2.0]] * 3) * 1e-6, np.array([[3.0, -4.0]]) * 1e-6))
+def test_simplicial_is_positive_exactly_where_halfspace_is(case):
+    # Caratheodory: a point lies in the hull of the cloud, so in a data
+    # triangle, exactly when every closed halfplane through it holds a point
+    pts, zs = case
+    cloud = DataCloud(pts)
+    simplicial = get_depth("simplicial").evaluate_many(zs, cloud)
+    halfspace = get_depth("halfspace").evaluate_many(zs, cloud)
+    assert np.array_equal(simplicial > 0.0, halfspace > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +319,20 @@ def test_simplicial_3d_matches_exact_containment_on_lattices(seed):
 
 @pytest.mark.parametrize("batch_bytes", [1, 3000])
 def test_simplicial_blocks_do_not_change_counts(monkeypatch, batch_bytes):
-    from depthkit import combinatorial
+    from depthkit import combinatorial, core
 
     rng = np.random.default_rng(4)
-    # a lattice cloud with flat simplices, and a cloud in four dimensions
-    clouds = [DataCloud(np.random.default_rng(8).integers(-2, 3, (6, 3)).astype(float)),
+    # lattice clouds with collinear triples and flat simplices, and a cloud
+    # in four dimensions
+    clouds = [DataCloud(np.random.default_rng(8).integers(-2, 3, (9, 2)).astype(float)),
+              DataCloud(np.random.default_rng(8).integers(-2, 3, (6, 3)).astype(float)),
               DataCloud(rng.standard_normal((7, 4)))]
-    queries = [np.vstack([c.points, rng.standard_normal((4, c.d))]) for c in clouds]
-    spec = get_depth("simplicial")
-    want = [spec.evaluate_many(zs, c) for zs, c in zip(queries, clouds)]
+    queries = [np.vstack([c.points, (c.points[:-1] + c.points[1:]) / 2.0,
+                          rng.standard_normal((4, c.d))]) for c in clouds]
+    depths = [("simplicial", c, zs) for c, zs in zip(clouds, queries)]
+    depths.append(("halfspace", clouds[0], queries[0]))
+    want = [get_depth(name).evaluate_many(zs, c) for name, c, zs in depths]
     monkeypatch.setattr(combinatorial, "BATCH_BYTES", batch_bytes)
-    for zs, c, w in zip(queries, clouds, want):
-        assert np.array_equal(spec.evaluate_many(zs, c), w)
+    monkeypatch.setattr(core, "BATCH_BYTES", batch_bytes)
+    for (name, c, zs), w in zip(depths, want):
+        assert np.array_equal(get_depth(name).evaluate_many(zs, c), w), name
