@@ -17,7 +17,7 @@ import numpy as np
 from . import core
 from .cloud import DataCloud
 from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
-from .core import BATCH_BYTES, check_level, clamp_depths, enumeration_size, in_chunks
+from .core import check_level, clamp_depths, enumeration_size, in_chunks
 from .errors import DimensionMismatchError
 from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull
 from .lp import feasible
@@ -278,7 +278,7 @@ def _simplices_containing(q: np.ndarray, cloud: DataCloud) -> int:
     rhs[-1] = 1.0
     # simplices in blocks: per simplex the tuple and index row of its
     # vertices, their coordinates, its system, the solid copy and the solution
-    size = max(1, BATCH_BYTES // (8 * (d + 1) * (5 * d + 4)))
+    size = max(1, core.BATCH_BYTES // (8 * (d + 1) * (5 * d + 4)))
     combos = combinations(range(cloud.n), d + 1)
     count = 0
     while (idx := np.array(list(islice(combos, size)))).size:

@@ -58,6 +58,18 @@ def clamp_depths(values: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
+def rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat.T``, summed term by term in a fixed order.
+
+    A BLAS product may round one row differently depending on how many rows
+    share the call; this sum does not, so a batch of one equals any batch.
+    """
+    out = rows[..., 0:1] * mat[:, 0]
+    for j in range(1, mat.shape[1]):
+        out += rows[..., j:j + 1] * mat[:, j]
+    return out
+
+
 def in_chunks(block: Callable[[np.ndarray], np.ndarray], qs: np.ndarray,
               row_bytes: int, dtype=float) -> np.ndarray:
     """``block`` applied to consecutive row chunks of ``qs``, concatenated

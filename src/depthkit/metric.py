@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import core
 from .cloud import DataCloud
-from .core import BATCH_BYTES, check_level, clamp_depths, enumeration_size, in_chunks
+from .core import check_level, clamp_depths, enumeration_size, in_chunks, rows_times
 from .errors import SingularScatterError, ZeroMadError
 from .geometry import ConvexRegion
 
@@ -64,18 +65,6 @@ def _moment_rule(cloud: DataCloud) -> tuple[np.ndarray, np.ndarray]:
 MOMENT = ScatterEstimator("moment", _moment_rule)
 
 
-def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``rows @ mat.T``, summed term by term in a fixed order.
-
-    A BLAS product may round one row differently depending on how many rows
-    share the call; this sum does not, so a batch of one equals any batch.
-    """
-    out = rows[..., 0:1] * mat[:, 0]
-    for j in range(1, mat.shape[1]):
-        out += rows[..., j:j + 1] * mat[:, j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # L2 depths
 # ---------------------------------------------------------------------------
@@ -109,7 +98,7 @@ def affine_invariant_l2_depth_many(zs, cloud: DataCloud,
     qs = cloud.points_of(zs)
     _, _, chol = estimator.estimate(cloud)
     white = np.linalg.inv(chol)
-    return _mean_distance_depths(_rows_times(qs, white), _rows_times(cloud.points, white))
+    return _mean_distance_depths(rows_times(qs, white), rows_times(cloud.points, white))
 
 
 def affine_invariant_l2_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
@@ -127,7 +116,7 @@ def mahalanobis_depth_many(zs, cloud: DataCloud,
     """(1 + squared scatter distance to the center)^-1 for each row of ``zs``."""
     qs = cloud.points_of(zs)
     center, _, chol = estimator.estimate(cloud)
-    w = _rows_times(qs - center, np.linalg.inv(chol))
+    w = rows_times(qs - center, np.linalg.inv(chol))
     return clamp_depths(1.0 / (1.0 + np.sum(w * w, axis=1)))
 
 
@@ -213,12 +202,12 @@ class ProjectionIndex:
             good = norms > 1e-12
             dirs = white[good] / norms[good, None]
         # the (directions, n) projections grow as n^3, so they are formed in
-        # row chunks under BATCH_BYTES; each row's median and MAD see the
+        # row chunks under core.BATCH_BYTES; each row's median and MAD see the
         # same values as in one product
         med = np.empty(dirs.shape[0])
         mad = np.empty(dirs.shape[0])
         top = 0.0  # largest |projection|, the scale of the zero-MAD guard
-        rows = max(1, BATCH_BYTES // (32 * n))
+        rows = max(1, core.BATCH_BYTES // (32 * n))
         for start in range(0, dirs.shape[0], rows):
             proj = dirs[start:start + rows] @ pts.T
             m = np.median(proj, axis=1)
@@ -237,7 +226,7 @@ class ProjectionIndex:
         """max over directions of |<p, z> - med| / mad, for each row of zs."""
 
         def block(q):
-            return np.max(np.abs(_rows_times(q, self.dirs) - self.med) / self.mad, axis=1)
+            return np.max(np.abs(rows_times(q, self.dirs) - self.med) / self.mad, axis=1)
 
         return in_chunks(block, zs, 24 * self.dirs.shape[0])
 
@@ -291,7 +280,7 @@ def _oja_expected_volumes(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return in_chunks(block, qs, 48 * iu.size) / n**2
     # subsets in blocks of a fixed size, so each row sums them the same way
     # whatever the batch
-    size = max(1, BATCH_BYTES // (16 * d * d))
+    size = max(1, core.BATCH_BYTES // (16 * d * d))
     subsets = combinations(range(n), d)
     total = np.zeros(qs.shape[0])
     while (idx := np.array(list(islice(subsets, size)))).size:

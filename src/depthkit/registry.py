@@ -156,6 +156,7 @@ register(DepthSpec(
     name="echstar",
     variant="affine",
     point=lambda z, cloud, opts: weighted.wm_depth(z, cloud, weighted.ECH_STAR),
+    batch=lambda zs, cloud, opts: weighted.wm_depth_many(zs, cloud, weighted.ECH_STAR),
     region_fn=lambda cloud, alpha: weighted.wm_region(cloud, weighted.ECH_STAR, alpha),
     lift_ready=True,
     functional_base=True,
@@ -165,6 +166,7 @@ register(DepthSpec(
     name="geometric",
     variant="affine",
     point=lambda z, cloud, opts: weighted.wm_depth(z, cloud, weighted.GEOMETRIC),
+    batch=lambda zs, cloud, opts: weighted.wm_depth_many(zs, cloud, weighted.GEOMETRIC),
     region_fn=lambda cloud, alpha: weighted.wm_region(cloud, weighted.GEOMETRIC, alpha),
     lift_ready=True,
     functional_base=True,

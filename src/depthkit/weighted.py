@@ -7,6 +7,13 @@ w-weighted mean of the projections sorted ascending; equivalently it is the
 convex hull of the weighted means over all orderings of the sample.  Regions
 shrink as alpha grows whenever the prefix sums of the weights grow with
 alpha, which all three built-in schemes satisfy.
+
+Depth is sup{alpha : z in region(alpha)}.  In d <= 2, :func:`wm_depth`
+reads membership off the regions' support functions on a frame of critical
+directions and bisects on alpha, for every scheme; :func:`wm_depth_many`
+runs it for a batch that shares the frame and the supports.
+:func:`zonoid_depth` solves zonoid depth as a linear program in any
+dimension; the registry's zonoid depth is that program.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import core
 from .cloud import DataCloud
-from .core import check_level, clamp_depth
+from .core import check_level, clamp_depth, rows_times
 from .errors import DimensionMismatchError, InvalidAlphaError
 from .geometry import ConvexRegion
 from .lp import solve_lp
@@ -211,80 +219,212 @@ def wm_region(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> ConvexReg
 
 #: feasibility threshold for spread-normalized support margins
 _WM_MARGIN_TOL = 1e-11
+#: bisection steps whose midpoints (2**k - 1 levels in all) the queries of
+#: a batch share: their supports are formed once over a whole frame block
+_SHARED_STEPS = 5
 
 
-def _wm_support_frame(cloud: DataCloud):
-    """Constraint system for membership tests in every level region.
+def _pair_blocks(n: int, size: int):
+    """Index arrays (i, j), i < j, of the pairs of n points in the order of
+    ``np.triu_indices``, in blocks of whole rows i of at most ``size`` pairs
+    (or one row)."""
+    through = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..i
+    start = 0
+    while start < n - 1:
+        before = through[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(through, before + size, side="right")))
+        i, j = np.nonzero(np.arange(n) > np.arange(start, stop)[:, None])
+        yield start + i, j
+        start = stop
 
-    Returns (dirs, sorted_proj, denom), or None when all points coincide.
+
+def _frame_block(cloud: DataCloud, dirs: np.ndarray):
+    # fixed-order products: a direction's projections, and a query's, do not
+    # depend on the block they are formed in
+    dirs = np.asfortranarray(dirs)
+    proj = np.sort(rows_times(dirs, cloud.points), axis=1)
+    top = proj[:, -1].copy()
+    spread = top - proj[:, 0]
+    # across a collinear cloud the spread is rounding noise, and margins
+    # divided by it would be noise of order one: those directions measure
+    # margins in the cloud's extent instead
+    denom = np.where(spread > 1e-12 * cloud.extent, spread, cloud.extent)
+    return dirs, proj, top, _WM_MARGIN_TOL * denom
+
+
+def _frame_blocks(cloud: DataCloud):
+    """The support frame in blocks of directions: (dirs, sorted_proj, top,
+    margin).
+
     A query q lies in the level-alpha region when sorted_proj @ w(alpha) >=
-    dirs @ q along every constraint direction.  Margins are normalized by
-    ``denom``, the per-direction projection spread, which transforms
-    exactly like the margins under invertible linear maps, so the test is
-    affine-consistent.  The frame depends on the cloud alone: ``wm_depth``
-    builds it once per cloud, for every weight scheme, and computes only
-    ``dirs @ q`` per query.
+    dirs @ q - margin along every constraint direction; ``top`` is the
+    largest projection, the support of the hull.  The margin is
+    ``_WM_MARGIN_TOL`` times the direction's projection spread, which
+    transforms exactly like the supports under invertible linear maps, so
+    the test is affine-consistent.  The directions are the unit pairwise
+    differences, which pin down regions that collapse to segments, and
+    their perpendiculars, which support the full-dimensional part, each
+    with both signs.  A block holds the pairs of whole rows of the pair
+    table and stays within ``core.BATCH_BYTES``, so its bounds depend on n
+    alone.  Nothing is yielded when all points coincide.
     """
-    pts = cloud.points
+    if cloud.extent == 0.0:
+        return
     if cloud.d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        diffs = _pair_differences(cloud)
-        if diffs.shape[0] == 0:
-            return None
-        diffs = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-        # perpendiculars support the full-dimensional part; the difference
-        # directions themselves pin down regions that collapse to segments
-        perp = np.column_stack([-diffs[:, 1], diffs[:, 0]])
-        dirs = np.vstack([diffs, -diffs, perp, -perp])
-    proj = np.sort(dirs @ pts.T, axis=1, kind="stable")
-    spread = proj[:, -1] - proj[:, 0]
-    denom = np.maximum(spread, 1e-300)
-    return dirs, proj, denom
+        yield _frame_block(cloud, np.array([[1.0], [-1.0]]))
+        return
+    pts, n = cloud.points, cloud.n
+    # a pair gives four directions of n projections, formed and then sorted
+    # into a copy: 64 n bytes
+    size = max(1, core.BATCH_BYTES // (64 * n))
+    shortest = 1e-12 * max(1.0, cloud.extent)
+    for iu, ju in _pair_blocks(n, size):
+        diffs = pts[iu] - pts[ju]
+        norms = np.linalg.norm(diffs, axis=1)
+        keep = norms > shortest
+        if not keep.any():
+            continue
+        unit = diffs[keep] / norms[keep, None]
+        perp = np.column_stack([-unit[:, 1], unit[:, 0]])
+        yield _frame_block(cloud, np.vstack([unit, -unit, perp, -perp]))
 
 
-def wm_depth(z, cloud: DataCloud, scheme: WeightScheme) -> float:
-    """sup{alpha : z in region(alpha)} by bisection on the nested family.
+def _wm_support_frame(cloud: DataCloud) -> tuple:
+    """The whole support frame, a tuple of :func:`_frame_blocks`."""
+    return tuple(_frame_blocks(cloud))
 
-    Membership in the level-alpha region is decided through the region's
-    support function on the critical directions (pairwise differences and
-    their perpendiculars), so no polygons are built.  Exact 0 outside the
-    convex hull of the data; exact 1 inside the level-1 region; otherwise
-    bisected to ``_ALPHA_TOL``.
+
+def _frame_of(cloud: DataCloud):
+    """The frame's blocks: kept on the cloud when the whole frame fits
+    ``core.BATCH_BYTES``, and built afresh for each call otherwise.
+
+    The frame depends on the cloud alone, so every scheme shares it.  In
+    the plane it holds 4 C(n, 2) directions of n projections and four more
+    floats each: 8.5 MB at n = 80, kept up to n = 100 at the default
+    budget; 66 MB at n = 160.
     """
-    q = cloud.point_of(z)
+    n = cloud.n
+    dirs = 2 if cloud.d == 1 else 2 * n * (n - 1)
+    if 8 * dirs * (n + 4) <= core.BATCH_BYTES:
+        return cloud.derived(("wm-frame",), _wm_support_frame)
+    return _frame_blocks(cloud)
+
+
+class _Levels:
+    """What the queries of one cloud and scheme share: per frame block, the
+    supports at the levels met so far."""
+
+    def __init__(self, scheme: WeightScheme, n: int):
+        self.scheme, self.n = scheme, n
+        self._supports: dict[tuple[int, float], np.ndarray] = {}
+
+    def weights_at(self, alpha: float) -> np.ndarray:
+        # not kept: a batch's small weight vectors, once freed, sit in
+        # numpy's buffer cache and keep the heap from shrinking (4 MB more
+        # peak RSS over the benchmark's depth --all runs)
+        return weights(self.scheme, self.n, alpha)
+
+    def support_at(self, block: int, proj: np.ndarray, alpha: float) -> np.ndarray:
+        key = (block, alpha)
+        if key not in self._supports:
+            self._supports[key] = _supports(proj, self.weights_at(alpha))
+        return self._supports[key]
+
+
+def _supports(proj: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``proj @ w`` by numpy's own loop: each row is summed alike wherever it
+    sits, and no BLAS threads are started for one product."""
+    return np.einsum("kn,n->k", proj, w)
+
+
+def _block_depth(slack: np.ndarray, block: int, proj: np.ndarray, top: np.ndarray,
+                 levels: _Levels) -> float:
+    """The bisected depth of one query in one block's directions.
+
+    ``slack`` is u.q less the margin on each direction u.  Exact 0 outside
+    the hull and exact 1 inside the level-1 region; otherwise bisection on
+    alpha to ``_ALPHA_TOL``.  Regions shrink as alpha grows, so a direction
+    that holds at some alpha holds at every smaller one: the bisection
+    drops the directions that hold at alpha = 1 and at each failed
+    midpoint.  The first ``_SHARED_STEPS`` midpoints take the supports over
+    the whole block, which a batch shares; later ones sum only the
+    directions still tested.
+    """
+    if np.any(slack > top):
+        return 0.0
+    live = slack > levels.support_at(block, proj, 1.0)
+    if not live.any():
+        return 1.0
+    rows = None
+    lo, hi, step = 0.0, 1.0, 0
+    while hi - lo > _ALPHA_TOL:
+        alpha = 0.5 * (lo + hi)
+        step += 1
+        if step <= _SHARED_STEPS:
+            bad = live & (slack > levels.support_at(block, proj, alpha))
+        else:
+            if rows is None:
+                rows, slack = proj[live], slack[live]
+            bad = slack > _supports(rows, levels.weights_at(alpha))
+        if bad.any():
+            hi = alpha
+            if rows is None:
+                live = bad
+            elif not bad.all():
+                rows, slack = rows[bad], slack[bad]
+        else:
+            lo = alpha
+    return 0.5 * (lo + hi)
+
+
+def _require_planar(cloud: DataCloud) -> None:
     if cloud.d > 2:
         raise DimensionMismatchError(
             "weighted-mean depth is available in d <= 2 (zonoid_depth covers any d)"
         )
-    n = cloud.n
-    frame = cloud.derived(("wm-frame",), _wm_support_frame)
-    if frame is None:
+
+
+def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, _shared=None) -> float:
+    """sup{alpha : z in region(alpha)}, in d <= 2.
+
+    Depth is the least over the support frame's directions u of
+    alpha_u(z) = sup{alpha : h_u(alpha) >= u.z}, h_u the support function
+    of the level-alpha region, which falls as alpha grows; it is bisected
+    to ``_ALPHA_TOL``.  The value is exact 0 outside the convex hull of the
+    data and exact 1 inside the level-1 region.  No polygon is built.  The
+    frame is worked through in blocks (see :func:`_frame_of`), and a depth
+    is the least of its blocks' depths: each direction holds on an initial
+    run of levels, so the bisection over all directions ends in the lowest
+    of the blocks' brackets.  ``_shared`` is the (frame blocks, levels)
+    pair of a :func:`wm_depth_many` batch.
+    """
+    q = cloud.point_of(z)
+    _require_planar(cloud)
+    blocks, levels = _shared or (_frame_of(cloud), _Levels(scheme, cloud.n))
+    depth, spanned = 1.0, False
+    for b, (dirs, proj, top, margin) in enumerate(blocks):
+        spanned = True
+        depth = min(depth, _block_depth(rows_times(q, dirs) - margin, b, proj, top, levels))
+        if depth == 0.0:
+            break
+    if not spanned:
         # all data points coincide: the region is that single point
-        ref = cloud.points[0]
-        return 1.0 if np.linalg.norm(q - ref) <= cloud.coord_tol else 0.0
-    dirs, proj, denom = frame
-    s = dirs @ q
+        return 1.0 if np.linalg.norm(q - cloud.points[0]) <= cloud.coord_tol else 0.0
+    return clamp_depth(depth)
 
-    def feasible(alpha: float) -> bool:
-        w = weights(scheme, n, alpha)
-        margins = (s - proj @ w) / denom
-        return bool(np.max(margins) <= _WM_MARGIN_TOL)
 
-    # the hull is the closure of the regions as alpha drops to 0
-    hull_margin = np.max((s - proj[:, -1]) / denom)
-    if hull_margin > _WM_MARGIN_TOL:
-        return 0.0
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _ALPHA_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return clamp_depth(0.5 * (lo + hi))
+def wm_depth_many(zs, cloud: DataCloud, scheme: WeightScheme) -> np.ndarray:
+    """:func:`wm_depth` of each row of ``zs``, bitwise equal to point calls.
+
+    The queries share one frame, built once for the batch and held for its
+    span when the cloud does not keep it (the whole frame: 66 MB at
+    n = 160), and the supports of the levels their bisections meet.
+    """
+    qs = cloud.points_of(zs)
+    _require_planar(cloud)
+    # a single query streams the frame rather than hold all of it
+    shared = (tuple(_frame_of(cloud)), _Levels(scheme, cloud.n)) if qs.shape[0] > 1 else None
+    return np.array([wm_depth(q, cloud, scheme, shared) for q in qs], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import make_cloud
 
-from depthkit import DataCloud, metric, weighted
+from depthkit import DataCloud, core, metric, weighted
 from depthkit.core import check_postulates
 from depthkit.errors import DepthKitError
 from depthkit.functional import FunctionalSample, graph_depth, grid_depth
@@ -219,7 +219,7 @@ def test_unit_directions_are_read_only():
 def test_chunked_projection_index_is_bitwise_the_unchunked_one(monkeypatch, n):
     cloud = DataCloud(make_cloud(n, n).points @ np.array([[2.0, 0.3], [0.0, 0.7]]) + 5.0)
     default = metric.ProjectionIndex(cloud, 1000, 3)
-    monkeypatch.setattr(metric, "BATCH_BYTES", 97 * 32 * n)  # chunks of 97 directions
+    monkeypatch.setattr(core, "BATCH_BYTES", 97 * 32 * n)  # chunks of 97 directions
     chunked = metric.ProjectionIndex(cloud, 1000, 3)
     assert np.array_equal(chunked.dirs, default.dirs)
     assert np.array_equal(chunked.med, default.med)
@@ -231,3 +231,56 @@ def test_chunked_projection_index_is_bitwise_the_unchunked_one(monkeypatch, n):
         assert np.array_equal(default.med, np.median(proj, axis=1))
         assert np.array_equal(default.mad,
                               np.median(np.abs(proj - default.med[:, None]), axis=1))
+
+
+@pytest.mark.parametrize("scheme", [weighted.ECH_STAR, weighted.ZONOID], ids=lambda s: s.name)
+def test_weighted_mean_frame_stays_within_the_budget(monkeypatch, scheme):
+    # the whole frame of 80 points, 4 C(80, 2) directions of 80 sorted
+    # projections and four more floats each, is 8.5 MB: eight times this
+    # budget, so it is neither kept nor built at once
+    budget = 2**20
+    monkeypatch.setattr(core, "BATCH_BYTES", budget)
+    cloud = make_cloud(4, 80)
+    assert 16 * 80 * 79 * 84 >= 8 * budget
+    tracemalloc.start()
+    try:
+        value = weighted.wm_depth(cloud.points[0] / 2.0, cloud, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 1.0
+    assert peak < 4 * budget
+    assert ("wm-frame",) not in cloud._derived
+
+
+@pytest.mark.parametrize("n, kept", [(100, True), (101, False)])
+def test_weighted_mean_state_kept_on_the_cloud_fits_the_budget(n, kept):
+    # the frame of 100 points, 16.5 MB, is the largest that is kept; the
+    # supports a batch shares go with the batch
+    cloud = make_cloud(5, n)
+    tracemalloc.start()
+    try:
+        for scheme in (weighted.ECH_STAR, weighted.GEOMETRIC, weighted.ZONOID):
+            weighted.wm_depth_many(cloud.points[:2] / 2.0, cloud, scheme)
+            weighted.wm_depth(cloud.points[2] / 2.0, cloud, scheme)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (("wm-frame",) in cloud._derived) == kept
+    assert retained <= (core.BATCH_BYTES if kept else 2**20)
+
+
+def test_weighted_mean_frame_is_built_once_per_batch(monkeypatch):
+    builds = _count_calls(monkeypatch, weighted, "_frame_blocks")
+    cloud = make_cloud(5, 80)
+    for scheme in (weighted.ECH_STAR, weighted.GEOMETRIC, weighted.ZONOID):
+        weighted.wm_depth_many(cloud.points[:3], cloud, scheme)
+        weighted.wm_depth(cloud.points[3], cloud, scheme)
+    assert len(builds) == 1
+    # a frame the cloud does not keep is built once per batch, and once
+    # per point call
+    monkeypatch.setattr(core, "BATCH_BYTES", 2**20)
+    cloud = make_cloud(5, 80)
+    weighted.wm_depth_many(cloud.points[:3], cloud, weighted.ECH_STAR)
+    weighted.wm_depth(cloud.points[3], cloud, weighted.ECH_STAR)
+    assert len(builds) == 3

@@ -12,13 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import make_cloud
+from conftest import linprog_zonoid_depth, make_cloud
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from depthkit import DataCloud
 from depthkit.errors import DepthKitError, DimensionMismatchError
 from depthkit.registry import EvalOptions, available_depths, get_depth
+from depthkit.weighted import ECH_STAR, GEOMETRIC, ZONOID, wm_depth, wm_depth_many
 
 # a small direction budget keeps the randomized depths fast; the contract
 # holds for every budget
@@ -108,6 +109,35 @@ def test_collinear_triangle_holds_only_its_segment():
     assert spec.evaluate([3.0, 3.0], cloud) == 0.0
     assert spec.evaluate_many([[3.0, 3.0]], cloud)[0] == 0.0
     assert spec.evaluate_many([[1.0, 1.0]], cloud)[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# planar zonoid depth against linear programs
+# ---------------------------------------------------------------------------
+
+
+@SETTINGS
+@given(case=cases().filter(lambda case: case[0].d <= 2))
+def test_zonoid_matches_the_linear_programs(case):
+    # the registry's linear program and the bisection on the support frame
+    # against scipy's HiGHS
+    cloud, zs = case
+    scipy = np.array([linprog_zonoid_depth(z, cloud.points) for z in zs])
+    own = get_depth("zonoid").evaluate_many(zs, cloud)
+    bisected = wm_depth_many(zs, cloud, ZONOID)
+    assert np.max(np.abs(own - scipy)) <= 1e-9
+    # the bisection ends in a bracket of width 1e-6
+    assert np.max(np.abs(bisected - scipy)) <= 1e-6
+
+
+@pytest.mark.parametrize("scheme", [ZONOID, ECH_STAR, GEOMETRIC], ids=lambda s: s.name)
+@SETTINGS
+@given(case=cases().filter(lambda case: case[0].d <= 2))
+def test_weighted_mean_batch_equals_point_loop(scheme, case):
+    cloud, zs = case
+    many = wm_depth_many(zs, cloud, scheme)
+    loop = np.array([wm_depth(z, cloud, scheme) for z in zs])
+    assert many.tobytes() == loop.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +349,7 @@ def test_simplicial_3d_matches_exact_containment_on_lattices(seed):
 
 @pytest.mark.parametrize("batch_bytes", [1, 3000])
 def test_simplicial_blocks_do_not_change_counts(monkeypatch, batch_bytes):
-    from depthkit import combinatorial, core
+    from depthkit import core
 
     rng = np.random.default_rng(4)
     # lattice clouds with collinear triples and flat simplices, and a cloud
@@ -332,7 +362,35 @@ def test_simplicial_blocks_do_not_change_counts(monkeypatch, batch_bytes):
     depths = [("simplicial", c, zs) for c, zs in zip(clouds, queries)]
     depths.append(("halfspace", clouds[0], queries[0]))
     want = [get_depth(name).evaluate_many(zs, c) for name, c, zs in depths]
-    monkeypatch.setattr(combinatorial, "BATCH_BYTES", batch_bytes)
     monkeypatch.setattr(core, "BATCH_BYTES", batch_bytes)
     for (name, c, zs), w in zip(depths, want):
         assert np.array_equal(get_depth(name).evaluate_many(zs, c), w), name
+
+
+# ---------------------------------------------------------------------------
+# weighted-mean depths: frame blocks and query chunks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", [ZONOID, ECH_STAR, GEOMETRIC], ids=lambda s: s.name)
+def test_weighted_mean_blocks_do_not_change_depths(monkeypatch, scheme):
+    from depthkit import core, weighted
+
+    rng = np.random.default_rng(6)
+    clouds = [make_cloud(6, 40).points * 1e3,
+              np.random.default_rng(7).integers(-3, 4, (30, 2)).astype(float),
+              np.array([1.0, -2.0]) + np.arange(-12, 13)[:, None] * np.array([3.0, 4.0])]
+    for pts in clouds:
+        zs = np.vstack([pts, (pts[:-1] + pts[1:]) / 2.0, pts.mean(axis=0),
+                        rng.uniform(pts.min(axis=0), pts.max(axis=0), (10, 2))])
+        want = wm_depth_many(zs, DataCloud(pts), scheme)
+        with monkeypatch.context() as patch:
+            # blocks of at most 20 pairs of points
+            patch.setattr(core, "BATCH_BYTES", 64 * 20 * pts.shape[0])
+            cloud = DataCloud(pts)
+            assert len(list(weighted._frame_blocks(cloud))) > 1
+            got = wm_depth_many(zs, cloud, scheme)
+            loop = np.array([wm_depth(z, cloud, scheme) for z in zs])
+            assert ("wm-frame",) not in cloud._derived
+        assert got.tobytes() == want.tobytes()
+        assert loop.tobytes() == want.tobytes()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_cloud
+from conftest import linprog_zonoid_depth, make_cloud
 from depthkit import DataCloud
 from depthkit.errors import InvalidAlphaError
 from depthkit.geometry import ConvexRegion
@@ -15,6 +15,7 @@ from depthkit.weighted import (
     validate_weight_scheme,
     weights,
     wm_depth,
+    wm_depth_many,
     wm_region,
     wm_region_1d,
     wm_region_2d,
@@ -201,3 +202,38 @@ def test_wm_depth_max_at_mean():
     cloud = make_cloud(8, 10)
     for scheme in (ZONOID, ECH_STAR, GEOMETRIC):
         assert wm_depth(cloud.mean, cloud, scheme) == pytest.approx(1.0, abs=2e-5)
+
+
+@pytest.mark.parametrize("pts", [
+    [(-7, -7), (5, 5), (2, 2), (-10, -10)],
+    [(1, 2), (4, 6), (1, 2), (10, 14), (4, 6), (-2, -2)],
+    [(0, 0), (0, 0), (4, -2), (4, -2), (4, -2)],
+])
+def test_zonoid_on_collinear_clouds_matches_the_linear_programs(pts):
+    # the perpendiculars of a collinear cloud have a spread of rounding
+    # size; margins divided by it once made data points look outside
+    pts = np.array(pts, dtype=float)
+    cloud = DataCloud(pts)
+    i, j = np.triu_indices(len(pts), k=1)
+    zs = np.vstack([pts, (pts[i] + pts[j]) / 2.0, cloud.mean,
+                    cloud.mean + [0.5, 0.5], pts[0] + [1e-3, 0.0]])
+    want = np.array([linprog_zonoid_depth(z, pts) for z in zs])
+    assert np.allclose([zonoid_depth(z, cloud) for z in zs], want, rtol=0.0, atol=1e-9)
+    # the bisection ends in a bracket of width _ALPHA_TOL
+    assert np.allclose(wm_depth_many(zs, cloud, ZONOID), want, rtol=0.0, atol=1e-6)
+    assert np.all(want[:len(pts)] > 0.0) and want[-1] == 0.0
+
+
+@pytest.mark.parametrize("scheme", [ECH_STAR, GEOMETRIC])
+def test_collinear_depth_is_the_depth_along_the_line(scheme):
+    t = np.array([-7.0, 5.0, 2.0, -10.0, 2.0, 3.0])
+    base, step = np.array([1.0, -2.0]), np.array([3.0, 4.0])
+    along = np.r_[t, (t[:-1] + t[1:]) / 2.0, t.mean(), 6.0]
+    planar = wm_depth_many(base + along[:, None] * step, DataCloud(base + t[:, None] * step),
+                           scheme)
+    line = wm_depth_many(along, DataCloud(t), scheme)
+    assert np.all(line[:len(t)] > 0.0) and line[-1] == 0.0
+    # one bisection step apart at most
+    assert np.allclose(planar, line, rtol=0.0, atol=2e-6)
+    off = base + 2.0 * step + [1e-6, 0.0]
+    assert wm_depth(off, DataCloud(base + t[:, None] * step), scheme) == 0.0
