@@ -157,6 +157,20 @@ def mahalanobis_region(cloud: DataCloud, alpha: float,
 # ---------------------------------------------------------------------------
 
 
+#: most entries of the (queries, directions) buffer that outlyingness takes at
+#: once, whatever the budget: bigger chunks run slower, as the buffer leaves
+#: the cache and is paged in afresh
+_OUT_BLOCK_ENTRIES = 2**15
+
+
+def _sorted_middle(s: np.ndarray) -> np.ndarray:
+    """The median of each row of the row-sorted ``s``, as ``np.median`` takes
+    it after its partition: the middle entry, or the mean of the two middle
+    ones."""
+    k = s.shape[1] // 2
+    return s[:, k] if s.shape[1] % 2 else np.mean(s[:, k - 1:k + 1], axis=1)
+
+
 class ProjectionIndex:
     """Precomputed direction set plus per-direction location and spread.
 
@@ -168,6 +182,12 @@ class ProjectionIndex:
     the single direction +1 makes the depth exact.  An index depends only on
     the cloud, the budget and the seed, so each cloud builds it once (see
     :meth:`DataCloud.derived`).
+
+    The index keeps m <= C(n, 2) + budget directions with a median and a MAD
+    each, 8 m (d + 2) bytes (2.6 MB at n = 400 with the default budget), as
+    read-only arrays, since the cloud shares them with every later query.
+    The build sorts the (m, n) projections in row chunks under
+    ``core.BATCH_BYTES``, O(m n log n); a query costs O(m).
     """
 
     def __init__(self, cloud: DataCloud, budget: int, seed: int):
@@ -190,45 +210,63 @@ class ProjectionIndex:
             iu, ju = np.triu_indices(n, k=1)
             diffs = pts[iu] - pts[ju]
             keep = np.linalg.norm(diffs, axis=1) > 1e-12
+            # the coefficients come from one stream, row after row, in blocks
+            # under core.BATCH_BYTES; each row's product is the one-row g @ pts
             rng = np.random.default_rng(seed)
             combos = np.empty((budget, d))
-            for k in range(budget):
-                g = rng.standard_normal(n)
-                g -= g.mean()
-                combos[k] = g @ pts
+            rows = max(1, core.BATCH_BYTES // (8 * n))
+            for start in range(0, budget, rows):
+                g = rng.standard_normal((min(rows, budget - start), n))
+                g -= g.mean(axis=1, keepdims=True)
+                combos[start:start + g.shape[0]] = np.matmul(g[:, None, :], pts)[:, 0, :]
             raw = np.vstack([diffs[keep], combos])
             white = np.linalg.solve(scatter, raw.T).T
             norms = np.linalg.norm(white, axis=1)
             good = norms > 1e-12
             dirs = white[good] / norms[good, None]
         # the (directions, n) projections grow as n^3, so they are formed in
-        # row chunks under core.BATCH_BYTES; each row's median and MAD see the
-        # same values as in one product
+        # row chunks under core.BATCH_BYTES and sorted in place: the median
+        # is the middle of a sorted row, the MAD the middle of its absolute
+        # deviations sorted in turn, and the largest |projection| one of the
+        # row's ends
         med = np.empty(dirs.shape[0])
         mad = np.empty(dirs.shape[0])
         top = 0.0  # largest |projection|, the scale of the zero-MAD guard
         rows = max(1, core.BATCH_BYTES // (32 * n))
         for start in range(0, dirs.shape[0], rows):
-            proj = dirs[start:start + rows] @ pts.T
-            m = np.median(proj, axis=1)
-            med[start:start + rows] = m
-            mad[start:start + rows] = np.median(np.abs(proj - m[:, None]), axis=1)
-            top = max(top, float(np.max(np.abs(proj))))
+            s = dirs[start:start + rows] @ pts.T
+            s.sort(axis=1)
+            top = max(top, float(np.max(np.abs(s[:, [0, -1]]))))
+            med[start:start + rows] = _sorted_middle(s)
+            s -= med[start:start + rows, None]
+            np.abs(s, out=s)
+            s.sort(axis=1)
+            mad[start:start + rows] = _sorted_middle(s)
         if np.any(mad <= 1e-12 * max(1.0, top)):
             raise ZeroMadError(
                 "a projection of the sample has zero median absolute deviation"
             )
+        for arr in (dirs, med, mad):
+            arr.setflags(write=False)
         self.dirs = dirs
         self.med = med
         self.mad = mad
 
     def outlyingness(self, zs: np.ndarray) -> np.ndarray:
-        """max over directions of |<p, z> - med| / mad, for each row of zs."""
+        """max over directions of |<p, z> - med| / mad, for each row of zs.
 
-        def block(q):
-            return np.max(np.abs(rows_times(q, self.dirs) - self.med) / self.mad, axis=1)
-
-        return in_chunks(block, zs, 24 * self.dirs.shape[0])
+        Each chunk of queries works in one (rows, directions) buffer of at
+        most ``_OUT_BLOCK_ENTRIES`` entries, and of at least one row.
+        """
+        rows = max(1, min(core.BATCH_BYTES // 8, _OUT_BLOCK_ENTRIES) // self.dirs.shape[0])
+        out = np.empty(zs.shape[0])
+        for start in range(0, zs.shape[0], rows):
+            buf = rows_times(zs[start:start + rows], self.dirs)
+            buf -= self.med
+            np.abs(buf, out=buf)
+            buf /= self.mad
+            np.max(buf, axis=1, out=out[start:start + rows])
+        return out
 
 
 def projection_depth_many(zs, cloud: DataCloud,

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import make_cloud
-from depthkit import DataCloud
+from depthkit import DataCloud, core, metric
 from depthkit.combinatorial import SIMPLEX_ENUMERATION_CAP
 from depthkit.errors import EnumerationTooLargeError, SingularScatterError, ZeroMadError
+from depthkit.core import in_chunks, rows_times
 from depthkit.metric import (
     MOMENT,
+    ProjectionIndex,
     affine_invariant_l2_depth,
     l2_depth,
     l2_depth_many,
@@ -118,6 +120,112 @@ def test_projection_budget_monotone():
     budgets = [50, 200, 1000]
     vals = [projection_depth(z, cloud, direction_budget=m, seed=0) for m in budgets]
     assert vals[0] >= vals[1] >= vals[2]
+
+
+def _median_loop_index(cloud, budget, seed):
+    """(dirs, med, mad) as the index was built before it sorted rows: one
+    ``standard_normal(n)`` draw and one ``g @ pts`` per combination, then
+    ``np.median`` of each chunk of projections and of their absolute
+    deviations, in the same row chunks under ``core.BATCH_BYTES``."""
+    pts = cloud.points
+    n, d = pts.shape
+    dev = pts - pts.mean(axis=0)
+    scatter = dev.T @ dev / n
+    if d == 1:
+        dirs = np.ones((1, 1))
+    else:
+        iu, ju = np.triu_indices(n, k=1)
+        diffs = pts[iu] - pts[ju]
+        keep = np.linalg.norm(diffs, axis=1) > 1e-12
+        rng = np.random.default_rng(seed)
+        combos = np.empty((budget, d))
+        for k in range(budget):
+            g = rng.standard_normal(n)
+            g -= g.mean()
+            combos[k] = g @ pts
+        white = np.linalg.solve(scatter, np.vstack([diffs[keep], combos]).T).T
+        norms = np.linalg.norm(white, axis=1)
+        dirs = white[norms > 1e-12] / norms[norms > 1e-12, None]
+    med = np.empty(dirs.shape[0])
+    mad = np.empty(dirs.shape[0])
+    rows = max(1, core.BATCH_BYTES // (32 * n))
+    for start in range(0, dirs.shape[0], rows):
+        proj = dirs[start:start + rows] @ pts.T
+        med[start:start + rows] = np.median(proj, axis=1)
+        mad[start:start + rows] = np.median(
+            np.abs(proj - med[start:start + rows, None]), axis=1)
+    return dirs, med, mad
+
+
+def _projection_cloud(n, d, repeated):
+    rng = np.random.default_rng(100 * n + d)
+    pts = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) + 5.0
+    if repeated:
+        # every point twice or more, so projections tie in every direction
+        pts = pts[np.arange(n) % (n // 2)]
+    return DataCloud(pts)
+
+
+def _bitwise(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(
+        np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["default", "chunked"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["general", "repeated"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [10, 27, 80])
+def test_projection_index_is_bitwise_the_median_loop(monkeypatch, n, d, repeated, chunked):
+    cloud = _projection_cloud(n, d, repeated)
+    if chunked:
+        # builds of 7 directions, and combinations drawn 28 at a time
+        monkeypatch.setattr(core, "BATCH_BYTES", 7 * 32 * n)
+    index = ProjectionIndex(cloud, 1000, 4)
+    dirs, med, mad = _median_loop_index(cloud, 1000, 4)
+    assert _bitwise(index.dirs, dirs)
+    assert _bitwise(index.med, med)
+    assert _bitwise(index.mad, mad)
+
+
+@pytest.mark.parametrize("batch_bytes", [None, 3 * 8 * 30], ids=["default", "chunked"])
+def test_projection_combinations_are_one_stream(monkeypatch, batch_bytes):
+    # the combinations of budget 7 are the first 7 of budget 50, also when
+    # the draws are split into blocks of 3 rows
+    cloud = make_cloud(13, 30)
+    if batch_bytes is not None:
+        monkeypatch.setattr(core, "BATCH_BYTES", batch_bytes)
+    small = ProjectionIndex(cloud, 7, 2)
+    large = ProjectionIndex(cloud, 50, 2)
+    pairs = small.dirs.shape[0] - 7
+    assert pairs == large.dirs.shape[0] - 50 == 30 * 29 // 2
+    assert _bitwise(large.dirs[:pairs + 7], small.dirs)
+    assert _bitwise(large.med[:pairs + 7], small.med)
+    assert _bitwise(large.mad[:pairs + 7], small.mad)
+
+
+def test_projection_index_is_read_only_and_outlyingness_chunk_free(monkeypatch):
+    cloud = make_cloud(14, 40)
+    index = ProjectionIndex(cloud, 200, 5)
+    kept = [arr.copy() for arr in (index.dirs, index.med, index.mad)]
+    for arr in (index.dirs, index.med, index.mad):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    zs = np.vstack([cloud.points, np.random.default_rng(15).standard_normal((70, 2)) * 3.0])
+    # the expression the kernel evaluates in place, in chunks under the budget
+    expected = in_chunks(
+        lambda q: np.max(np.abs(rows_times(q, index.dirs) - index.med) / index.mad, axis=1),
+        zs, 24 * index.dirs.shape[0])
+    default = index.outlyingness(zs)
+    monkeypatch.setattr(metric, "_OUT_BLOCK_ENTRIES", 1)
+    one_row = index.outlyingness(zs)
+    monkeypatch.setattr(metric, "_OUT_BLOCK_ENTRIES", 2**40)
+    monkeypatch.setattr(core, "BATCH_BYTES", 2**40)
+    whole = index.outlyingness(zs)
+    for got in (default, one_row, whole):
+        assert _bitwise(got, expected)
+    for arr, before in zip((index.dirs, index.med, index.mad), kept):
+        assert _bitwise(arr, before)
 
 
 def test_oja_constant_inside_a_triangle():
