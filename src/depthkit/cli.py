@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--labels", action="store_true",
                           help="draw point labels")
     p_region.add_argument("--resolution", type=int, default=256,
-                          help="grid resolution for non-exact contours")
+                          help="grid resolution for non-exact contours, 2 to 2048")
     add_eval_flags(p_region)
     _add_io_flags(p_region)
     p_region.set_defaults(func=_cmd_region)

@@ -236,6 +236,10 @@ def check_postulates(depth_fn: DepthEvaluator, cloud: DataCloud, variant: str = 
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown invariance variant: {variant!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     rng = np.random.default_rng(seed)
     d = cloud.d
     scale = max(cloud.extent, 1.0)

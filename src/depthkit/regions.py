@@ -18,6 +18,7 @@ from .cloud import DataCloud
 from .core import check_level
 from .errors import (
     EmptyRegionError,
+    EnumerationTooLargeError,
     GridMismatchError,
     NestingViolationError,
     UnsupportedLiftError,
@@ -26,6 +27,8 @@ from .geometry import ConvexRegion
 from .registry import DEFAULT_OPTIONS, DepthSpec, EvalOptions, get_depth
 
 DEFAULT_GRID_RESOLUTION = 256
+#: largest grid side drawn, so a traced field holds at most 2048**2 depths
+_MAX_GRID_RESOLUTION = 2048
 #: share of the data's span added on every side of the grid window
 _GRID_PADDING = 0.10
 #: levels 0.01, 0.02, ..., 1.00
@@ -65,25 +68,30 @@ class Ring:
     def contains_point(self, p) -> bool:
         """Even-odd ray crossing test."""
         p = np.asarray(p, dtype=float).reshape(-1)
-        v = self.vertices
-        m = v.shape[0]
-        if m < 3:
+        a = self.vertices
+        if a.shape[0] < 3:
             return False
-        inside = False
-        for i in range(m):
-            a, b = v[i], v[(i + 1) % m]
-            if (a[1] > p[1]) != (b[1] > p[1]):
-                x_cross = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-                if p[0] < x_cross:
-                    inside = not inside
-        return inside
+        b = np.roll(a, -1, axis=0)
+        cut = (a[:, 1] > p[1]) != (b[:, 1] > p[1])
+        a, b = a[cut], b[cut]
+        x_cross = a[:, 0] + (p[1] - a[:, 1]) / (b[:, 1] - a[:, 1]) * (b[:, 0] - a[:, 0])
+        return bool(np.count_nonzero(p[0] < x_cross) % 2)
 
 
-def _interp(pa, pb, fa, fb):
-    denom = fa - fb
-    t = 0.5 if denom == 0.0 else fa / denom
-    t = min(max(t, 0.0), 1.0)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+# The edges of a cell: bottom, right, top and left, each as the (row, column)
+# offset of its first corner and 1 where it runs along y.
+_B, _R, _T, _L = range(4)
+_EDGES = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]])
+# (case, from edge, to edge) of the segments of a cell, in drawing order and
+# with the inside (>= level) on the left, so outer rings run counterclockwise.
+# A saddle (5, 10) whose corners do not average at least the level takes
+# case + 16.
+_SEGMENTS = np.array([
+    (1, _B, _L), (2, _R, _B), (3, _R, _L), (4, _T, _R), (5, _T, _L),
+    (5, _B, _R), (6, _T, _B), (7, _T, _L), (8, _L, _T), (9, _B, _T),
+    (10, _R, _B), (10, _L, _T), (11, _R, _T), (12, _L, _R), (13, _B, _R),
+    (14, _L, _B), (21, _B, _L), (21, _T, _R), (26, _L, _B), (26, _R, _T),
+])
 
 
 def marching_squares(xs: np.ndarray, ys: np.ndarray, field: np.ndarray,
@@ -92,7 +100,9 @@ def marching_squares(xs: np.ndarray, ys: np.ndarray, field: np.ndarray,
 
     ``field`` is indexed [iy, ix].  The field is framed with a below-level
     border first, so every contour closes inside the (slightly enlarged)
-    window.  Returns one Ring per closed contour.
+    window.  Returns one Ring per closed contour.  Segments are linked by
+    the grid edge their crossing lies on; a crossing on a grid vertex, which
+    two edges reach, is kept once.
     """
     nx, ny = len(xs), len(ys)
     if field.shape != (ny, nx):
@@ -101,95 +111,48 @@ def marching_squares(xs: np.ndarray, ys: np.ndarray, field: np.ndarray,
     dy = ys[1] - ys[0] if ny > 1 else 1.0
     xs2 = np.concatenate([[xs[0] - dx], xs, [xs[-1] + dx]])
     ys2 = np.concatenate([[ys[0] - dy], ys, [ys[-1] + dy]])
-    f2 = np.full((ny + 2, nx + 2), level - 1.0)
-    f2[1:-1, 1:-1] = field
-    g = f2 - level
+    g = np.full((ny + 2, nx + 2), level - 1.0)
+    g[1:-1, 1:-1] = field
+    g -= level
 
     inside = g >= 0
-    cases = (
-        inside[:-1, :-1].astype(np.int8)
-        + 2 * inside[:-1, 1:]
-        + 4 * inside[1:, 1:]
-        + 8 * inside[1:, :-1]
-    )
-    active = np.argwhere((cases != 0) & (cases != 15))
+    case = inside[:-1, :-1] + 2 * inside[:-1, 1:] + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]
+    iy, ix = np.nonzero((case != 0) & (case != 15))
+    case = case[iy, ix]
+    center = (g[iy, ix] + g[iy, ix + 1] + g[iy + 1, ix + 1] + g[iy + 1, ix]) / 4.0
+    case += 16 * (((case == 5) | (case == 10)) & ~(center >= 0))
+    cell, row = np.nonzero(case[:, None] == _SEGMENTS[:, 0])
+    corner = np.stack([iy[cell], ix[cell], np.zeros_like(cell)])
+    first = _EDGES[_SEGMENTS[row, 1]].T + corner
+    last = _EDGES[_SEGMENTS[row, 2]].T + corner
 
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    for iy, ix in active:
-        case = int(cases[iy, ix])
-        f00 = g[iy, ix]
-        f10 = g[iy, ix + 1]
-        f11 = g[iy + 1, ix + 1]
-        f01 = g[iy + 1, ix]
-        p00 = (xs2[ix], ys2[iy])
-        p10 = (xs2[ix + 1], ys2[iy])
-        p11 = (xs2[ix + 1], ys2[iy + 1])
-        p01 = (xs2[ix], ys2[iy + 1])
-        bottom = _interp(p00, p10, f00, f10)
-        right = _interp(p10, p11, f10, f11)
-        top = _interp(p01, p11, f01, f11)
-        left = _interp(p00, p01, f00, f01)
-        # edges oriented so the inside (>= level) stays on the left;
-        # outer rings then run counterclockwise (positive shoelace area)
-        if case == 5:
-            center = (f00 + f10 + f11 + f01) / 4.0
-            segs = [(top, left), (bottom, right)] if center >= 0 else [
-                (bottom, left), (top, right)]
-        elif case == 10:
-            center = (f00 + f10 + f11 + f01) / 4.0
-            segs = [(right, bottom), (left, top)] if center >= 0 else [
-                (left, bottom), (right, top)]
-        else:
-            segs = _SEGMENT_TABLE[case](bottom, right, top, left)
-        segments.extend(segs)
+    # each segment starts at the crossing on its first edge; the corners
+    # of a crossed edge lie on either side of the level, so fa != fb
+    ay, ax, up = first
+    fa, fb = g[ay, ax], g[ay + up, ax + 1 - up]
+    t = np.clip(fa / (fa - fb), 0.0, 1.0)
+    start = np.column_stack([xs2[ax] + t * (xs2[ax + 1 - up] - xs2[ax]),
+                             ys2[ay] + t * (ys2[ay + up] - ys2[ay])])
 
-    # link segments into rings by matching endpoints
-    scale = max(abs(dx), abs(dy), 1e-12)
-
-    def key(p):
-        return (round(p[0] / (1e-9 * scale)), round(p[1] / (1e-9 * scale)))
-
-    by_start: dict = {}
-    for idx, seg in enumerate(segments):
-        by_start.setdefault(key(seg[0]), []).append(idx)
+    # every crossed edge is the first edge of one segment and the last of
+    # one other, so following last edges walks the rings
+    after = np.empty((ny + 2, nx + 2, 2), dtype=np.intp)
+    after[tuple(first)] = np.arange(len(t))
+    nxt = after[tuple(last)].tolist()
     rings = []
-    used = [False] * len(segments)
-    for idx, seg in enumerate(segments):
-        if used[idx]:
+    for s in range(len(nxt)):
+        if nxt[s] < 0:
             continue
-        chain = [seg[0], seg[1]]
-        used[idx] = True
-        guard = 0
-        while key(chain[-1]) != key(chain[0]) and guard <= len(segments):
-            guard += 1
-            nxt = None
-            for cid in by_start.get(key(chain[-1]), []):
-                if not used[cid]:
-                    nxt = cid
-                    used[cid] = True
-                    break
-            if nxt is None:
-                break
-            chain.append(segments[nxt][1])
-        if key(chain[-1]) == key(chain[0]) and len(chain) > 3:
-            rings.append(Ring(np.array(chain[:-1])))
+        cycle = []
+        while nxt[s] >= 0:
+            cycle.append(s)
+            nxt[s], s = -1, nxt[s]
+        v = start[cycle]
+        # a vertex equal to the one before it goes; the first one stays
+        v = v[(v != np.roll(v, 1, axis=0)).any(axis=1) | (np.arange(len(v)) == 0)]
+        if v.shape[0] > 2:
+            rings.append(Ring(v))
     return rings
-
-
-_SEGMENT_TABLE = {
-    1: lambda b, r, t, l: [(b, l)],
-    2: lambda b, r, t, l: [(r, b)],
-    3: lambda b, r, t, l: [(r, l)],
-    4: lambda b, r, t, l: [(t, r)],
-    6: lambda b, r, t, l: [(t, b)],
-    7: lambda b, r, t, l: [(t, l)],
-    8: lambda b, r, t, l: [(l, t)],
-    9: lambda b, r, t, l: [(b, t)],
-    11: lambda b, r, t, l: [(r, t)],
-    12: lambda b, r, t, l: [(l, r)],
-    13: lambda b, r, t, l: [(b, r)],
-    14: lambda b, r, t, l: [(l, b)],
-}
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +183,8 @@ class RegionContour:
 
 
 def _grid_field(cloud: DataCloud, batch_fn, resolution: int):
-    pts = cloud.points
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
     span = np.maximum(hi - lo, 1e-9 * np.maximum(np.abs(hi), 1.0))
-    span = np.maximum(span, 1e-9)
     lo = lo - _GRID_PADDING * span
     hi = hi + _GRID_PADDING * span
     xs = np.linspace(lo[0], hi[0], resolution)
@@ -254,6 +214,11 @@ def region_contours(cloud: DataCloud, depth_name: str,
     contours of every level on it.
     """
     levels = [check_level(a) for a in alphas]
+    if resolution < 2:
+        raise ValueError(f"grid resolution must be at least 2, got {resolution}")
+    if resolution > _MAX_GRID_RESOLUTION:
+        raise EnumerationTooLargeError(
+            f"grid resolution {resolution} exceeds {_MAX_GRID_RESOLUTION}")
     spec = get_depth(depth_name)
     if spec.region_fn is not None:
         return [RegionContour(spec.name, a, True, spec.region_fn(cloud, a), ())

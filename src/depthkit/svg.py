@@ -94,39 +94,24 @@ def _fmt(v: float) -> str:
 
 
 def _data_bounds(doc: ContourDocument):
-    xs, ys = [], []
-    if doc.points.size:
-        xs.extend(doc.points[:, 0])
-        ys.extend(doc.points[:, 1])
-    for layer in doc.layers:
-        for ring in layer.rings:
-            xs.extend(ring[:, 0])
-            ys.extend(ring[:, 1])
-    if not xs:
+    every = np.concatenate([doc.points, *(ring for layer in doc.layers
+                                          for ring in layer.rings)])
+    if every.shape[0] == 0:
         raise EmptyRegionError("document has neither layers nor points")
-    lo = np.array([min(xs), min(ys)])
-    hi = np.array([max(xs), max(ys)])
+    lo, hi = every.min(axis=0), every.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
     return lo - 0.05 * span, hi + 0.05 * span
 
 
-class _Mapper:
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-        self.plot_w = _WIDTH - 2 * _MARGIN - _LEGEND_WIDTH
-        self.plot_h = _HEIGHT - 2 * _MARGIN
-
-    def __call__(self, p):
-        x = _MARGIN + (p[0] - self.lo[0]) / (self.hi[0] - self.lo[0]) * self.plot_w
-        y = _HEIGHT - _MARGIN - (p[1] - self.lo[1]) / (self.hi[1] - self.lo[1]) * self.plot_h
-        return x, y
+def _to_px(p: np.ndarray, lo, hi) -> list[list[float]]:
+    """Pixel coordinates [x, y] of an (m, 2) array of data points."""
+    u = (p - lo) / (hi - lo) * [_WIDTH - 2 * _MARGIN - _LEGEND_WIDTH, _HEIGHT - 2 * _MARGIN]
+    return np.column_stack([_MARGIN + u[:, 0], _HEIGHT - _MARGIN - u[:, 1]]).tolist()
 
 
 def render_svg(doc: ContourDocument) -> str:
     """Standalone SVG text for a contour document."""
     lo, hi = _data_bounds(doc)
-    to_px = _Mapper(lo, hi)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
         f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">',
@@ -139,12 +124,11 @@ def render_svg(doc: ContourDocument) -> str:
         color = _ramp_color(rank, total)
         for ring in layer.rings:
             pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
-                           for x, y in (to_px(p) for p in ring))
+                           for x, y in _to_px(ring, lo, hi))
             parts.append(
                 f'<polygon points="{pts}" fill="{color}" fill-opacity="0.85" '
                 f'stroke="#123e82" stroke-width="0.8"/>')
-    for i, p in enumerate(doc.points):
-        x, y = to_px(p)
+    for i, (x, y) in enumerate(_to_px(doc.points, lo, hi)):
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.4" '
                      f'fill="#111111"/>')
         if doc.show_labels and doc.labels is not None:
@@ -183,20 +167,19 @@ def export_region_svg(doc: ContourDocument, path: str):
 
 
 def document_payload(doc: ContourDocument) -> dict:
-    payload = {
+    return {
         "title": doc.title,
-        "points": [[float(v) for v in p] for p in doc.points],
+        "points": doc.points.tolist(),
         "labels": list(doc.labels) if doc.labels is not None else None,
         "layers": [
             {
                 "alpha": layer.alpha,
-                "polygons": [[[float(v) for v in p] for p in ring]
+                "polygons": [np.asarray(ring, dtype=float).tolist()
                              for ring in layer.rings],
             }
             for layer in doc.layers
         ],
     }
-    return payload
 
 
 def export_region_json(doc: ContourDocument, path: str):

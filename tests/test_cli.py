@@ -173,6 +173,26 @@ def test_region_requires_planar_data(tmp_path, capsys):
     assert err.startswith("error: DIMENSION_MISMATCH:")
 
 
+@pytest.mark.parametrize("resolution, code", [
+    ("0", "INVALID_ARGUMENT"), ("1", "INVALID_ARGUMENT"), ("-3", "INVALID_ARGUMENT"),
+    ("2049", "TOO_LARGE"), ("1000000", "TOO_LARGE"),
+])
+def test_region_refuses_a_grid_resolution_out_of_range(tmp_path, capsys, monkeypatch,
+                                                       resolution, code):
+    import depthkit.regions as regions
+
+    def no_field(*args):
+        raise AssertionError("the grid field was allocated")
+
+    monkeypatch.setattr(regions, "_grid_field", no_field)
+    svg = tmp_path / "x.svg"
+    rc, out, err = run(capsys, "region", "l2", "--data", "eu27", "--alpha-list",
+                       "0.02", "--svg", str(svg), "--resolution", resolution)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {code}:") and err.count("\n") == 1
+    assert not svg.exists()
+
+
 # ---------------------------------------------------------------------------
 # order and metric
 # ---------------------------------------------------------------------------
@@ -328,3 +348,13 @@ def test_check_postulates_flags_l2_affine_failure(tmp_path, capsys):
     assert err.startswith("error: POSTULATE_VIOLATION:")
     assert "D2" in err
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ("--trials", "0"), ("--trials", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--tol=-1e-9",),
+])
+def test_check_postulates_refuses_bad_trials_and_tolerance(capsys, flags):
+    rc, out, err = run(capsys, "check-postulates", "l2", "--data", "eu27", *flags)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: INVALID_ARGUMENT:") and err.count("\n") == 1
