@@ -188,13 +188,83 @@ def _trimmed_span(t: np.ndarray, k: int, tol: float):
     return None if lo > hi + tol else (lo, hi)
 
 
+#: a halfplane that every vertex of a polygon clears by more than this share
+#: of (largest vertex coordinate + |bound|) cannot cut it: far above the
+#: rounding of a two-term product
+_CLEAR_REL = 1e-13
+
+
+def _cutting(poly: np.ndarray, normals: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the halfplanes {z : <u, z> <= h} that some vertex of ``poly``
+    does not clear by more than rounding: the only ones that
+    :func:`clip_polygon_halfplane` (which keeps a vertex within ``tol``
+    outside) can change ``poly`` by."""
+    reach = (poly @ normals.T).max(axis=0) - h
+    return reach >= tol - _CLEAR_REL * (np.abs(poly).max() + np.abs(h))
+
+
+def _keeps_outside(poly: np.ndarray, u: np.ndarray, h: float, tol: float) -> bool:
+    """Whether :func:`clip_polygon_halfplane` keeps a vertex of ``poly``
+    that lies outside the line (within ``tol``).  Only then can it put a
+    crossing off its edge: next to a cut vertex, the crossing lands beyond
+    the kept one, so the clipped polygon can reach past ``poly``."""
+    vals = poly @ u - h
+    return bool(np.any((vals > 0.0) & (vals <= tol)))
+
+
+def _clip_by_cutting(poly: np.ndarray, normals: np.ndarray, h: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """``poly`` clipped by each halfplane {z : <u, z> <= h} in turn, calling
+    :func:`clip_polygon_halfplane` only for those that may cut it.
+
+    A clip that keeps no vertex outside the line puts its crossings on the
+    polygon's edges and only shrinks it, so a halfplane that the polygon
+    clears stays cleared: after such a clip only the halfplanes still
+    flagged are tested again, and after any other every later one is.  A
+    skipped clip would have returned the polygon unchanged, so the result
+    is bitwise that of every clip in turn.
+    """
+    live = np.flatnonzero(_cutting(poly, normals, h, tol))
+    while live.size:
+        i, live = live[0], live[1:]
+        u, bound = normals[i], float(h[i])
+        clipped = clip_polygon_halfplane(poly, u, bound, tol)
+        if clipped is poly:
+            continue
+        if _keeps_outside(poly, u, bound, tol):
+            live = np.arange(i + 1, h.shape[0])
+        poly = clipped
+        if poly.shape[0] == 0:
+            break
+        live = live[_cutting(poly, normals[live], h[live], tol)]
+    return poly
+
+
+def _halfplane_bounds(normals: np.ndarray, pts: np.ndarray, k: int):
+    """(normals, k-th largest projection of ``pts`` on each) in blocks of
+    halfplanes under ``core.BATCH_BYTES``; a halfplane's n projections and
+    their partitioned copy take 16 n bytes.
+
+    A block holds an even number of halfplanes, as ``normals`` does (each
+    normal comes with its negative), so none is a single row: BLAS
+    multiplies one row, and rounds it, differently from a block of rows.
+    """
+    n = pts.shape[0]
+    size = 2 * max(1, core.BATCH_BYTES // (32 * n))
+    for start in range(0, normals.shape[0], size):
+        u = normals[start:start + size]
+        yield u, np.partition(u @ pts.T, n - k, axis=1)[:, n - k].copy()
+
+
 def tukey_region_2d(cloud: DataCloud, alpha: float) -> ConvexRegion:
     """Upper level set {z : halfspace depth >= alpha} of a planar cloud.
 
     With k = ceil(n alpha), the region is the intersection over the critical
     directions u (normals of pairwise differences) of the halfplanes
     {z : <u, z> <= k-th largest projection}; a padded bounding box is clipped
-    by each halfplane in turn.  May be empty, a point, or a segment.
+    by each halfplane in turn, skipping those that cannot cut it.  The
+    projections are formed in blocks of halfplanes under
+    ``core.BATCH_BYTES``.  May be empty, a point, or a segment.
     """
     cloud.require_dim(2)
     n = cloud.n
@@ -219,21 +289,16 @@ def tukey_region_2d(cloud: DataCloud, alpha: float) -> ConvexRegion:
     normals = np.vstack([normals, -normals])
     normals /= np.linalg.norm(normals, axis=1)[:, None]
 
-    proj = normals @ pts.T
-    # k-th largest projection per direction
-    h = np.partition(proj, n - k, axis=1)[:, n - k]
-
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 0.5 * max(float(np.max(hi - lo)), 1.0)
-    box = np.array([
+    poly = np.array([
         [lo[0] - pad, lo[1] - pad],
         [hi[0] + pad, lo[1] - pad],
         [hi[0] + pad, hi[1] + pad],
         [lo[0] - pad, hi[1] + pad],
     ])
-    poly = box
-    for u, bound in zip(normals, h):
-        poly = clip_polygon_halfplane(poly, u, float(bound), tol)
+    for u, h in _halfplane_bounds(normals, pts, k):
+        poly = _clip_by_cutting(poly, u, h, tol)
         if poly.shape[0] == 0:
             return ConvexRegion.empty(2)
     return ConvexRegion(2, convex_hull(poly))

@@ -84,13 +84,14 @@ _B, _R, _T, _L = range(4)
 _EDGES = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1]])
 # (case, from edge, to edge) of the segments of a cell, in drawing order and
 # with the inside (>= level) on the left, so outer rings run counterclockwise.
-# A saddle (5, 10) whose corners do not average at least the level takes
-# case + 16.
+# A saddle (5, 10) whose corners average at least the level joins its two
+# inside corners through the cell; one whose corners do not takes case + 16
+# and keeps them apart.
 _SEGMENTS = np.array([
     (1, _B, _L), (2, _R, _B), (3, _R, _L), (4, _T, _R), (5, _T, _L),
     (5, _B, _R), (6, _T, _B), (7, _T, _L), (8, _L, _T), (9, _B, _T),
-    (10, _R, _B), (10, _L, _T), (11, _R, _T), (12, _L, _R), (13, _B, _R),
-    (14, _L, _B), (21, _B, _L), (21, _T, _R), (26, _L, _B), (26, _R, _T),
+    (10, _L, _B), (10, _R, _T), (11, _R, _T), (12, _L, _R), (13, _B, _R),
+    (14, _L, _B), (21, _B, _L), (21, _T, _R), (26, _R, _B), (26, _L, _T),
 ])
 
 

@@ -9,6 +9,7 @@ darkest.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +183,41 @@ def document_payload(doc: ContourDocument) -> dict:
     }
 
 
+def _finite_pairs(value) -> bool:
+    """Whether ``value`` is a nonempty list of [x, y] lists of finite floats."""
+    return type(value) is list and len(value) > 0 and all(
+        type(row) is list and len(row) == 2 and type(row[0]) is float
+        and type(row[1]) is float and math.isfinite(row[0]) and math.isfinite(row[1])
+        for row in value)
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, for a value whose
+    lines sit at indentation ``pad``.
+
+    The standard library writes indented JSON with its pure-Python encoder.
+    Here ``json`` writes every key and scalar, and lists of finite [x, y]
+    pairs are written row by row with ``float.__repr__``, which is what
+    ``json`` writes for a finite float.
+    """
+    inner = pad + "  "
+    if _finite_pairs(value):
+        start, mid, end = f"{inner}[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+        items = [f"{start}{x!r}{mid}{y!r}{end}" for x, y in value]
+    elif type(value) is list and value:
+        items = [inner + _json_text(v, inner) for v in value]
+    elif type(value) is dict and value and all(type(k) is str for k in value):
+        items = [f"{inner}{json.dumps(k)}: {_json_text(value[k], inner)}"
+                 for k in sorted(value)]
+    else:
+        # JSON text holds no raw newline inside a string
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    brackets = "{}" if type(value) is dict else "[]"
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
+
+
 def export_region_json(doc: ContourDocument, path: str):
-    """Write the document as JSON mirroring the layer structure."""
-    text = json.dumps(document_payload(doc), indent=2, sort_keys=True)
-    atomic_write_text(path, text + "\n")
+    """Write the document as JSON mirroring the layer structure: the text of
+    ``json.dumps(document_payload(doc), indent=2, sort_keys=True)`` and a
+    newline."""
+    atomic_write_text(path, _json_text(document_payload(doc)) + "\n")

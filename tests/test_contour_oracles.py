@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthkit.regions import Ring, RegionContour, _grid_field, marching_squares, region_contours
 from depthkit.registry import EvalOptions, get_depth
@@ -25,8 +27,10 @@ from depthkit.svg import (
     _MARGIN,
     _ramp_color,
     _WIDTH,
+    _json_text,
     document_from_contours,
     document_payload,
+    export_region_json,
     render_svg,
 )
 
@@ -115,8 +119,8 @@ def oracle_marching_squares(xs, ys, field, level):
                 (bottom, left), (top, right)]
         elif case == 10:
             center = (f00 + f10 + f11 + f01) / 4.0
-            segs = [(right, bottom), (left, top)] if center >= 0 else [
-                (left, bottom), (right, top)]
+            segs = [(left, bottom), (right, top)] if center >= 0 else [
+                (right, bottom), (left, top)]
         else:
             segs = _SEGMENT_TABLE[case](bottom, right, top, left)
         segments.extend(segs)
@@ -221,9 +225,19 @@ def test_saddles_match_the_per_cell_loop(case, corners, shift):
     inside = field >= 0.0
     assert inside[0, 0] + 2 * inside[0, 1] + 4 * inside[1, 1] + 8 * inside[1, 0] == case
     rings = assert_traced_like_oracle(xs, ys, field, 0.0)
-    # the two inside corners are joined through the centre in one of the two
-    # orientations of each saddle and kept apart in the other
-    assert sorted(len(r.vertices) for r in rings) in ([8], [4, 4])
+    # the two inside corners are joined through the centre when the corners
+    # average at least the level, and kept apart otherwise
+    assert sorted(len(r.vertices) for r in rings) == ([8] if shift > -0.5 else [4, 4])
+
+
+@pytest.mark.parametrize("low, high", [(-0.5, 1.0), (-1.0, 0.5), (-0.5, 0.5)])
+def test_saddles_5_and_10_resolve_alike(low, high):
+    # the same corner values on either diagonal: the cell's connectivity
+    # depends on their mean, not on which diagonal is inside
+    xs, ys = np.array([0.0, 1.0]), np.array([0.0, 2.0])
+    five = marching_squares(xs, ys, np.array([[high, low], [low, high]]), 0.0)
+    ten = marching_squares(xs, ys, np.array([[low, high], [high, low]]), 0.0)
+    assert len(five) == len(ten) == (1 if low + high >= 0.0 else 2)
 
 
 def reference_contains(ring, p):
@@ -397,14 +411,22 @@ def reference_payload(doc):
     }
 
 
-def assert_documents_match_reference(doc):
+def assert_json_matches_reference(doc, tmp_path):
+    want = json.dumps(reference_payload(doc), indent=2, sort_keys=True)
+    assert json.dumps(document_payload(doc), indent=2, sort_keys=True) == want
+    # the written file is the standard library's indented text
+    path = tmp_path / "doc.json"
+    export_region_json(doc, str(path))
+    assert path.read_bytes() == (want + "\n").encode("ascii")
+
+
+def assert_documents_match_reference(doc, tmp_path):
     assert render_svg(doc) == reference_svg(doc)
-    got = json.dumps(document_payload(doc), indent=2, sort_keys=True)
-    assert got == json.dumps(reference_payload(doc), indent=2, sort_keys=True)
+    assert_json_matches_reference(doc, tmp_path)
 
 
 @pytest.mark.parametrize("show_labels", [False, True])
-def test_eu27_documents_match_per_point_mapping(eu_cloud, eu_fields, show_labels):
+def test_eu27_documents_match_per_point_mapping(eu_cloud, eu_fields, show_labels, tmp_path):
     ladders = [contours for *_, contours in eu_fields.values()]
     ladders += [region_contours(eu_cloud, name, levels)
                 for name, levels in EXACT_LADDERS.items()]
@@ -412,10 +434,42 @@ def test_eu27_documents_match_per_point_mapping(eu_cloud, eu_fields, show_labels
         doc = document_from_contours(eu_cloud, contours, f"{contours[0].depth_name}",
                                      show_labels=show_labels)
         assert doc.layers
-        assert_documents_match_reference(doc)
+        assert_documents_match_reference(doc, tmp_path)
 
 
-def test_document_with_negative_zero_coordinates_matches_reference():
+def test_json_of_extreme_and_odd_documents_matches_the_encoder(tmp_path):
+    ring = np.array([[-0.0, 1e-300], [1e300, -5e-324], [0.1, -1e300], [2.5, 1.0]])
+    docs = [
+        ContourDocument(title="Tiefe \u00e4\u00f6\u00fc \u2013 \U0001f600 \"q\" \\ \n",
+                        layers=(ContourLayer(0.5, (ring,)), ContourLayer(0.25, ())),
+                        points=ring[::-1], labels=("\u00e9", "a\tb", "", "\x00")),
+        # only an empty layer, and no points
+        ContourDocument(title="", layers=(ContourLayer(0.1, ()),), points=np.empty((0, 2))),
+        # rings that are not finite: the encoder writes NaN and Infinity
+        ContourDocument(title="nan", layers=(ContourLayer(0.3, (
+            np.array([[np.nan, 0.0], [1.0, np.inf], [0.0, -np.inf]]), ring)),),
+            points=np.array([[1.0, 2.0]])),
+    ]
+    for doc in docs:
+        assert_json_matches_reference(doc, tmp_path)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_pairs = st.lists(st.lists(_floats, min_size=2, max_size=2), max_size=4)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | st.text(max_size=4) | _pairs,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_text_is_the_indented_encoder(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_document_with_negative_zero_coordinates_matches_reference(tmp_path):
     # -0.0, and -0.004, which formats as -0.00
     ring = np.array([[-0.0, -0.004], [1.0, -0.0], [0.5, 0.75], [-0.004, 0.5]])
     doc = ContourDocument(
@@ -423,6 +477,6 @@ def test_document_with_negative_zero_coordinates_matches_reference():
         layers=(ContourLayer(0.5, (ring,)), ContourLayer(0.25, (1.5 * ring - 0.25,))),
         points=np.array([[-0.5, 1.2], [0.3, -0.0], [-0.004, 0.2]]),
         labels=("a", "b", "c"), show_labels=True)
-    assert_documents_match_reference(doc)
+    assert_documents_match_reference(doc, tmp_path)
     payload = document_payload(doc)
     assert np.signbit(payload["points"][1][1]) and np.signbit(payload["layers"][1]["polygons"][0][0][0])
