@@ -362,8 +362,8 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     """Fraction of closed data simplices (d+1 vertices) containing each row.
 
     Exact for d <= 4: in d <= 2 it counts the simplices that miss each
-    query, vectorised over the queries; beyond, it enumerates them.  Raises
-    when C(n, d+1) exceeds the enumeration cap.
+    query, vectorised over the queries; beyond, it enumerates them, and
+    raises when C(n, d+1) exceeds the enumeration cap.
     """
     qs = cloud.points_of(zs)
     n, d = cloud.n, cloud.d
@@ -371,7 +371,8 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
         raise DimensionMismatchError("simplicial depth enumeration is limited to d <= 4")
     if n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} points, got n={n}")
-    total = enumeration_size(n, d + 1)
+    # only the enumeration in d >= 3 grows with the number of simplices
+    total = math.comb(n, d + 1) if d <= 2 else enumeration_size(n, d + 1)
     if d == 1:
         counts = _segments_containing(qs, cloud, total)
     elif d == 2:

@@ -211,11 +211,52 @@ def test_simplicial_rejects_high_dim():
 
 
 def test_simplicial_enumeration_cap():
-    n = 300
-    assert math.comb(n, 3) > SIMPLEX_ENUMERATION_CAP
-    cloud = DataCloud(np.random.default_rng(1).standard_normal((n, 2)))
+    # only d >= 3 enumerates simplices, so only there the cap applies
+    n = 90
+    assert math.comb(n, 4) > SIMPLEX_ENUMERATION_CAP
+    cloud = DataCloud(np.random.default_rng(1).standard_normal((n, 3)))
     with pytest.raises(EnumerationTooLargeError):
-        simplicial_depth(np.zeros(2), cloud)
+        simplicial_depth(np.zeros(3), cloud)
+
+
+def barycentric_counts(q, pts):
+    """Closed triangles containing q, by barycentric coordinates in blocks:
+    for each first vertex i, every pair j < k of later vertices at once."""
+    n = pts.shape[0]
+    count = 0
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - i - 1, 1)
+        b, c = pts[i + 1 + j] - pts[i], pts[i + 1 + k] - pts[i]
+        r = q - pts[i]
+        det = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
+        lam0 = (r[0] * c[:, 1] - r[1] * c[:, 0]) / det
+        lam1 = (b[:, 0] * r[1] - b[:, 1] * r[0]) / det
+        count += int(np.count_nonzero((lam0 >= -1e-12) & (lam1 >= -1e-12)
+                                      & (lam0 + lam1 <= 1.0 + 1e-12)))
+    return count
+
+
+def test_planar_simplicial_past_the_enumeration_cap():
+    n = 240
+    total = math.comb(n, 3)
+    assert total > SIMPLEX_ENUMERATION_CAP
+    cloud = make_cloud(17, n)
+    zs = np.vstack([[[0.1, -0.2], [1.3, 0.4]], cloud.points[:1] + 1e-3])
+    got = simplicial_depth_many(zs, cloud)
+    assert np.array_equal(got, [barycentric_counts(z, cloud.points) / total for z in zs])
+    assert simplicial_depth(zs[0], cloud) == got[0]
+
+
+def test_univariate_simplicial_past_the_enumeration_cap():
+    n = 2001
+    assert math.comb(n, 2) > SIMPLEX_ENUMERATION_CAP
+    values = np.random.default_rng(18).standard_normal(n)
+    cloud = DataCloud(values[:, None])
+    zs = np.array([[0.0], [0.7], [-2.5]])
+    i, j = np.triu_indices(n, 1)
+    lo, hi = np.minimum(values[i], values[j]), np.maximum(values[i], values[j])
+    want = [np.count_nonzero((lo <= z) & (z <= hi)) / math.comb(n, 2) for z in zs[:, 0]]
+    assert np.allclose(simplicial_depth_many(zs, cloud), want, rtol=1e-15, atol=0.0)
 
 
 def test_simplicial_many_matches_scalar():
