@@ -192,12 +192,11 @@ def _cmd_fdepth(args) -> int:
     if args.t_indices:
         t_indices = [int(c) for c in args.t_indices.split(",") if c.strip()]
 
+    depth = graph_depth if args.kind == "graph" else grid_depth
+
     def one(curve) -> float:
-        if args.kind == "graph":
-            return graph_depth(curve, sample, base_depth=args.base,
-                               t_indices=t_indices, options=opts)
-        return grid_depth(curve, sample, t_indices=t_indices,
-                          base_depth=args.base, options=opts)
+        return depth(curve, sample, base_depth=args.base,
+                     t_indices=t_indices, options=opts)
 
     if args.index is not None:
         if not 0 <= args.index < sample.n:
@@ -275,21 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_region)
     p_region.set_defaults(func=_cmd_region)
 
-    p_order = sub.add_parser("order", help="compare dispersion of two clouds")
-    p_order.add_argument("name")
-    p_order.add_argument("--data1", required=True)
-    p_order.add_argument("--data2", required=True)
-    p_order.add_argument("--alpha-list", help="override the level grid")
-    _add_io_flags(p_order)
-    p_order.set_defaults(func=_cmd_order)
-
-    p_metric = sub.add_parser("metric", help="lift distance of two clouds")
-    p_metric.add_argument("name")
-    p_metric.add_argument("--data1", required=True)
-    p_metric.add_argument("--data2", required=True)
-    p_metric.add_argument("--alpha-list", help="override the level grid")
-    _add_io_flags(p_metric)
-    p_metric.set_defaults(func=_cmd_metric)
+    for command, help_text, func in (
+            ("order", "compare dispersion of two clouds", _cmd_order),
+            ("metric", "lift distance of two clouds", _cmd_metric)):
+        p_lift = sub.add_parser(command, help=help_text)
+        p_lift.add_argument("name")
+        p_lift.add_argument("--data1", required=True)
+        p_lift.add_argument("--data2", required=True)
+        p_lift.add_argument("--alpha-list", help="override the level grid")
+        _add_io_flags(p_lift)
+        p_lift.set_defaults(func=func)
 
     p_fd = sub.add_parser("fdepth", help="depths for grid-sampled curves")
     p_fd.add_argument("kind", choices=("graph", "grid"))

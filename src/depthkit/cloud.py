@@ -8,7 +8,6 @@ value once per cloud and hands it to every later query.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, TypeVar
 
@@ -137,10 +136,3 @@ class DataCloud:
     def linear_mapped(self, a) -> "DataCloud":
         a = np.asarray(a, dtype=float)
         return DataCloud(self.points @ a.T, self.labels)
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.points).tobytes())
-        if self.labels:
-            h.update("\x1f".join(self.labels).encode())
-        return h.hexdigest()[:16]

@@ -117,7 +117,7 @@ def halfspace_depth_1d(z: float, cloud: DataCloud) -> float:
     """min(#{x <= z}, #{x >= z}) / n."""
     cloud.require_dim(1)
     values = cloud.points[:, 0]
-    zf = float(np.asarray(z).reshape(-1)[0])
+    zf = float(cloud.point_of(z)[0])
     le = int(np.count_nonzero(values <= zf))
     ge = int(np.count_nonzero(values >= zf))
     return min(le, ge) / cloud.n

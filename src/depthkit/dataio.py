@@ -85,6 +85,20 @@ def _detect_header(rows: list[tuple[int, list[str]]]) -> bool:
     return any(sn and not fn for fn, sn in zip(first_numeric, second_numeric))
 
 
+def _data_rows(path: str, delimiter: str, header: bool | None
+               ) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """(header cells or None, nonempty data rows); ``header=None`` detects
+    the header."""
+    rows = _read_rows(path, delimiter)
+    if not rows:
+        raise EmptyDatasetError(f"{path} contains no data rows")
+    if not (_detect_header(rows) if header is None else header):
+        return None, rows
+    if len(rows) == 1:
+        raise EmptyDatasetError(f"{path} contains a header but no data rows")
+    return rows[0][1], rows[1:]
+
+
 def load_dataset(path: str, delimiter: str = ",",
                  header: bool | None = None,
                  label_column: int | None = None,
@@ -95,16 +109,7 @@ def load_dataset(path: str, delimiter: str = ",",
     auto-detects at most one non-numeric column, ``label_column=-1``
     forces all columns numeric.
     """
-    rows = _read_rows(path, delimiter)
-    if not rows:
-        raise EmptyDatasetError(f"{path} contains no data rows")
-    has_header = _detect_header(rows) if header is None else header
-    names: list[str] | None = None
-    if has_header:
-        names = rows[0][1]
-        rows = rows[1:]
-        if not rows:
-            raise EmptyDatasetError(f"{path} contains a header but no data rows")
+    names, rows = _data_rows(path, delimiter, header)
     width = len(rows[0][1])
     if names is not None and len(names) != width:
         raise DatasetParseError(
@@ -227,14 +232,7 @@ def load_curves(path: str, dim: int = 1, delimiter: str = ",",
     """
     if dim < 1:
         raise DatasetParseError("curve dimension must be at least 1")
-    rows = _read_rows(path, delimiter)
-    if not rows:
-        raise EmptyDatasetError(f"{path} contains no data rows")
-    has_header = _detect_header(rows) if header is None else header
-    if has_header:
-        rows = rows[1:]
-        if not rows:
-            raise EmptyDatasetError(f"{path} contains a header but no data rows")
+    _, rows = _data_rows(path, delimiter, header)
     width = len(rows[0][1])
     if width < 1 + dim:
         raise DatasetParseError(
@@ -266,10 +264,7 @@ def load_curves(path: str, dim: int = 1, delimiter: str = ",",
     if len(grid) == 1:
         grid = np.array([0.0])
 
-    n = (width - 1) // dim
-    k = len(rows)
-    curves = np.empty((n, k, dim))
-    for c in range(n):
-        block = values[:, 1 + c * dim: 1 + (c + 1) * dim]
-        curves[c] = block
+    # column 1 + c * dim + m holds coordinate m of curve c
+    curves = np.ascontiguousarray(
+        values[:, 1:].reshape(len(rows), -1, dim).transpose(1, 0, 2))
     return FunctionalSample(grid=grid, curves=curves)

@@ -1,15 +1,17 @@
 """Depths for grid-sampled curves built from multivariate base depths.
 
 A curve is represented by its values on a shared argument grid in [0, 1].
-Every operation here takes the minimum of a multivariate base depth over a
-family of linear functionals applied to the curves:
+Every depth here is a Phi-depth (Mosler and Polyakova): the infimum of a
+multivariate base depth D over a family Phi of linear maps of the curves,
+inf_phi D(phi(z) | phi(X)).  One loop, ``_least_depth``, takes that
+infimum for all three families, which only yield the pairs (phi(z), phi(X)):
 
 * ``graph_depth``   uses the evaluation functionals x -> x(t),
 * ``grid_depth``    uses weighted time combinations x -> x(t_) @ r over
   seeded unit directions r plus the coordinate axes,
 * ``phi_depth``     accepts an arbitrary finite family of linear maps.
 
-The minimum structure preserves translation invariance, scale invariance,
+The infimum preserves translation invariance, scale invariance,
 monotonicity and upper semicontinuity of the base depth.
 """
 
@@ -105,7 +107,7 @@ class FunctionalSample:
         return z
 
     def sup_norm(self, z) -> float:
-        """Sampled supremum norm max_t |z(t)| used by the tail checks."""
+        """Sampled supremum norm max_t |z(t)|."""
         z = self.coerce_curve(z)
         return float(np.max(np.linalg.norm(z, axis=1)))
 
@@ -131,6 +133,23 @@ def _time_indices(sample: FunctionalSample, t_indices) -> np.ndarray:
     return idx
 
 
+def _least_depth(spec, pairs, options: EvalOptions) -> float:
+    """inf of ``spec`` over (phi(z), phi(X)) pairs, in their order; a pair
+    is built only when the one before it leaves the value above 0."""
+    value = 1.0
+    for q, cloud in pairs:
+        value = min(value, spec.evaluate(q, cloud, options))
+        if value == 0.0:
+            break
+    return value
+
+
+def _graph_pairs(z, sample: FunctionalSample, t_indices):
+    zc = sample.coerce_curve(z)
+    for j in _time_indices(sample, t_indices):
+        yield zc[j], sample.point_cloud(int(j))
+
+
 def graph_depth(z, sample: FunctionalSample, base_depth: str = "halfspace",
                 t_indices: Sequence[int] | None = None,
                 options: EvalOptions = DEFAULT_OPTIONS) -> float:
@@ -139,16 +158,23 @@ def graph_depth(z, sample: FunctionalSample, base_depth: str = "halfspace",
     With univariate data and the halfspace base this is the halfgraph
     depth of the query curve in the sample.
     """
-    spec = _base_spec(base_depth)
+    return _least_depth(_base_spec(base_depth),
+                        _graph_pairs(z, sample, t_indices), options)
+
+
+def _grid_pairs(z, sample: FunctionalSample, t_indices, options: EvalOptions):
     zc = sample.coerce_curve(z)
     idx = _time_indices(sample, t_indices)
-    value = 1.0
-    for j in idx:
-        value = min(value, spec.evaluate(zc[j], sample.point_cloud(int(j)),
-                                         options))
-        if value == 0.0:
-            break
-    return value
+    directions = np.vstack([np.eye(idx.size),
+                            unit_directions(idx.size, options.budget, options.seed)])
+    # the query rides through the same contraction as the sample so a curve
+    # that coincides with a sample curve projects bitwise identically
+    stacked = np.concatenate([sample.curves[:, idx, :], zc[idx, :][np.newaxis]],
+                             axis=0)
+    for r in directions:
+        proj = np.einsum("m,nmd->nd", r, stacked)
+        # one direction's cloud, and what a depth derives from it, at a time
+        yield proj[-1], DataCloud(proj[:-1])
 
 
 def grid_depth(z, sample: FunctionalSample,
@@ -163,32 +189,20 @@ def grid_depth(z, sample: FunctionalSample,
     plus the coordinate axes, an upper bound on the infimum that decreases
     with the budget.  The base depth is evaluated with the same options.
     """
-    spec = _base_spec(base_depth)
-    zc = sample.coerce_curve(z)
-    idx = _time_indices(sample, t_indices)
-    kp = idx.size
-    sub = sample.curves[:, idx, :]
-    zsub = zc[idx, :]
-    directions = np.vstack([np.eye(kp),
-                            unit_directions(kp, options.budget, options.seed)])
-    # the query rides through the same contraction as the sample so a curve
-    # that coincides with a sample curve projects bitwise identically
-    stacked = np.concatenate([sub, zsub[np.newaxis]], axis=0)
-    value = 1.0
-    for r in directions:
-        proj = np.einsum("m,nmd->nd", r, stacked)
-        value = min(value, spec.evaluate(proj[-1], DataCloud(proj[:-1]), options))
-        if value == 0.0:
-            break
-    return value
+    return _least_depth(_base_spec(base_depth),
+                        _grid_pairs(z, sample, t_indices, options), options)
 
 
 _LINEARITY_TRIALS = 3
 _LINEARITY_TOL = 1e-8
 
 
-def _check_linear(functionals: Sequence[CurveFunctional],
-                  sample: FunctionalSample):
+def _phi_pairs(z, sample: FunctionalSample,
+               functionals: Sequence[CurveFunctional]):
+    if len(functionals) == 0:
+        raise ValueError("the family of functionals must be nonempty")
+    zc = sample.coerce_curve(z)
+    # additivity on random curve pairs, for every map before the first is used
     rng = np.random.default_rng(20240917)
     shape = (sample.k, sample.d)
     for i, phi in enumerate(functionals):
@@ -203,6 +217,11 @@ def _check_linear(functionals: Sequence[CurveFunctional],
                     np.abs(lhs - rhs)) > _LINEARITY_TOL * scale:
                 raise NonlinearFunctionalError(
                     f"functional #{i} is not additive on random inputs")
+    for phi in functionals:
+        q = np.asarray(phi(zc), dtype=float).reshape(-1)
+        pts = np.array([np.asarray(phi(curve), dtype=float).reshape(-1)
+                        for curve in sample.curves])
+        yield q, DataCloud(pts)
 
 
 def phi_depth(z, sample: FunctionalSample,
@@ -215,21 +234,8 @@ def phi_depth(z, sample: FunctionalSample,
     functionals must map to the same dimension.  Additivity is verified on
     random curve pairs before evaluation.
     """
-    spec = _base_spec(base_depth)
-    if len(functionals) == 0:
-        raise ValueError("the family of functionals must be nonempty")
-    zc = sample.coerce_curve(z)
-    _check_linear(functionals, sample)
-    value = 1.0
-    for phi in functionals:
-        q = np.asarray(phi(zc), dtype=float).reshape(-1)
-        pts = np.array([np.asarray(phi(sample.curves[i]),
-                                   dtype=float).reshape(-1)
-                        for i in range(sample.n)])
-        value = min(value, spec.evaluate(q, DataCloud(pts), options))
-        if value == 0.0:
-            break
-    return value
+    return _least_depth(_base_spec(base_depth),
+                        _phi_pairs(z, sample, functionals), options)
 
 
 def phi_maximality(z, sample: FunctionalSample,
@@ -239,19 +245,7 @@ def phi_maximality(z, sample: FunctionalSample,
                    tol: float = 1e-9) -> bool:
     """True iff every functional sends the query into the base depth's
     deepest (level 1) region, i.e. the minimum structure attains its bound."""
-    spec = _base_spec(base_depth)
-    if len(functionals) == 0:
-        raise ValueError("the family of functionals must be nonempty")
-    zc = sample.coerce_curve(z)
-    _check_linear(functionals, sample)
-    for phi in functionals:
-        q = np.asarray(phi(zc), dtype=float).reshape(-1)
-        pts = np.array([np.asarray(phi(sample.curves[i]),
-                                   dtype=float).reshape(-1)
-                        for i in range(sample.n)])
-        if spec.evaluate(q, DataCloud(pts), options) < 1.0 - tol:
-            return False
-    return True
+    return phi_depth(z, sample, functionals, base_depth, options) >= 1.0 - tol
 
 
 def evaluation_functionals(sample: FunctionalSample,

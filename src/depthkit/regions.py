@@ -264,7 +264,6 @@ class DepthLift:
     depth_name: str
     alphas: tuple[float, ...]
     slices: tuple[ConvexRegion, ...]
-    cloud_hash: str
 
     def __post_init__(self):
         if len(self.alphas) != len(self.slices):
@@ -312,8 +311,7 @@ def depth_lift(cloud: DataCloud, depth_name: str,
                 f"region at alpha={kept_alphas[i]:g} escapes the region "
                 f"at alpha={kept_alphas[i - 1]:g}")
     slices = tuple(r.scaled(a) for r, a in zip(raw, kept_alphas))
-    return DepthLift(spec.name, tuple(kept_alphas), slices,
-                     cloud.content_hash())
+    return DepthLift(spec.name, tuple(kept_alphas), slices)
 
 
 def _check_comparable(a: DepthLift, b: DepthLift):

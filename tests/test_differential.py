@@ -154,17 +154,27 @@ def test_batch_rejects_wrong_shapes(name):
             spec.evaluate_many(zs, cloud, OPTIONS)
     with pytest.raises(DimensionMismatchError):
         spec.evaluate(np.zeros(3), cloud, OPTIONS)
+    line = DataCloud(np.array([0.0, 1.0, 3.0, 4.0, 7.0]))
+    with pytest.raises(DimensionMismatchError):
+        spec.evaluate_many(np.zeros((1, 2)), line, OPTIONS)
+    with pytest.raises(DimensionMismatchError):
+        spec.evaluate(np.zeros(2), line, OPTIONS)
 
 
 @pytest.mark.parametrize("name", available_depths())
 def test_batch_rejects_non_finite_rows(name):
     spec = get_depth(name)
     cloud = make_cloud(2, 6)
+    line = DataCloud(np.array([0.0, 1.0, 3.0, 4.0, 7.0]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             spec.evaluate_many([[0.0, 0.0], [bad, 0.0]], cloud, OPTIONS)
         with pytest.raises(ValueError):
             spec.evaluate([bad, 0.0], cloud, OPTIONS)
+        with pytest.raises(ValueError):
+            spec.evaluate_many([[0.0], [bad]], line, OPTIONS)
+        with pytest.raises(ValueError):
+            spec.evaluate([bad], line, OPTIONS)
 
 
 @pytest.mark.parametrize("name", available_depths())

@@ -330,8 +330,8 @@ def test_order_requires_matching_lifts():
 def test_order_empty_slice_rules():
     empty = ConvexRegion.empty(2)
     square = ConvexRegion.from_points(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    a = DepthLift("x", (0.5,), (empty,), "h")
-    b = DepthLift("x", (0.5,), (square,), "h")
+    a = DepthLift("x", (0.5,), (empty,))
+    b = DepthLift("x", (0.5,), (square,))
     assert depth_order_leq(a, b)
     assert not depth_order_leq(b, a)
 
@@ -361,8 +361,8 @@ def test_semimetric_triangle_inequality():
 def test_semimetric_empty_slice_mismatch_raises():
     empty = ConvexRegion.empty(2)
     square = ConvexRegion.from_points(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    a = DepthLift("x", (0.5,), (empty,), "h")
-    b = DepthLift("x", (0.5,), (square,), "h")
+    a = DepthLift("x", (0.5,), (empty,))
+    b = DepthLift("x", (0.5,), (square,))
     with pytest.raises(EmptyRegionError):
         depth_semimetric(a, b)
     assert depth_semimetric(a, a) == 0.0

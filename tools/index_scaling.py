@@ -16,11 +16,10 @@ axes.
 
 from __future__ import annotations
 
-import argparse
 import json
-import math
-import subprocess
 import sys
+
+from scaling import exponent, measure, parse_args
 
 CHILD = """
 import sys, time
@@ -44,38 +43,17 @@ print(min(builds), min(times), index.dirs.shape[0])
 """
 
 
-def exponent(points: list[tuple[int, float]]) -> float | None:
-    """Least-squares slope of log(time) against log(n)."""
-    if len(points) < 2:
-        return None
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(t) for _, t in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-            / sum((x - mx) ** 2 for x in xs))
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default="src")
-    parser.add_argument("--sizes", default="27,100,400,1600")
-    parser.add_argument("--limit", type=float, default=60.0)
-    args = parser.parse_args()
-    rows, skipped = {}, []
-    for n in map(int, args.sizes.split(",")):
-        try:
-            proc = subprocess.run([sys.executable, "-c", CHILD.format(src=args.src, n=n)],
-                                  capture_output=True, text=True, timeout=args.limit,
-                                  check=True)
-        except subprocess.TimeoutExpired:
-            skipped.append(n)
-            print(f"n={n}: skipped, over {args.limit:g} s")
-            continue
-        build, query, m = proc.stdout.split()
-        rows[n] = {"directions": int(m), "build_s": float(build),
-                   "outlyingness_s_per_query": float(query) / 256}
+    args = parse_args(__doc__, "27,100,400,1600", 60.0)
+
+    def row(n: int, words: list[str]) -> dict:
+        build, query, m = words
         print(f"n={n}: {m} directions, build {float(build):.4g} s, "
               f"{1e3 * float(query) / 256:.4g} ms per query")
+        return {"directions": int(m), "build_s": float(build),
+                "outlyingness_s_per_query": float(query) / 256}
+
+    rows, skipped = measure(args, CHILD, row)
     print(json.dumps({
         "sizes": rows, "skipped_over_limit": skipped, "limit_s": args.limit,
         "build_exp": exponent([(n, r["build_s"]) for n, r in rows.items()]),

@@ -18,11 +18,10 @@ exponents fitted to them by least squares on log-log axes.
 
 from __future__ import annotations
 
-import argparse
 import json
-import math
-import subprocess
 import sys
+
+from scaling import exponent, measure, parse_args
 
 QUERIES = 16
 
@@ -53,39 +52,17 @@ print(min(times) / len(zs), None if None in steps else sum(steps) / len(steps))
 """
 
 
-def exponent(points: list[tuple[int, float]]) -> float | None:
-    """Least-squares slope of log(value) against log(n)."""
-    if len(points) < 2:
-        return None
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(t) for _, t in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-            / sum((x - mx) ** 2 for x in xs))
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default="src")
-    parser.add_argument("--sizes", default="10,27,80,160,320")
-    parser.add_argument("--limit", type=float, default=60.0)
-    args = parser.parse_args()
+    args = parse_args(__doc__, "10,27,80,160,320", 60.0)
     record = {"queries": QUERIES, "limit_s": args.limit}
     for d in (2, 3):
-        rows, skipped = {}, []
-        for n in map(int, args.sizes.split(",")):
-            code = CHILD.format(src=args.src, n=n, d=d, half=QUERIES // 2)
-            try:
-                proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                      text=True, timeout=args.limit, check=True)
-            except subprocess.TimeoutExpired:
-                skipped.append(n)
-                print(f"d={d} n={n}: skipped, over {args.limit:g} s")
-                continue
-            per_lp, pivots = proc.stdout.split()
-            rows[n] = {"lp_s": float(per_lp),
-                       "pivots": None if pivots == "None" else float(pivots)}
+        def row(n: int, words: list[str]) -> dict:
+            per_lp, pivots = words
             print(f"d={d} n={n}: {1e3 * float(per_lp):.4g} ms per LP, {pivots} pivots")
+            return {"lp_s": float(per_lp),
+                    "pivots": None if pivots == "None" else float(pivots)}
+
+        rows, skipped = measure(args, CHILD, row, f"d={d} ", d=d, half=QUERIES // 2)
         record[f"d{d}"] = {
             "sizes": rows, "skipped_over_limit": skipped,
             "lp_exp": exponent([(n, r["lp_s"]) for n, r in rows.items()]),

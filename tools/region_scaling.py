@@ -20,11 +20,10 @@ on log-log axes.
 
 from __future__ import annotations
 
-import argparse
 import json
-import math
-import subprocess
 import sys
+
+from scaling import exponent, measure, parse_args
 
 CHILD = """
 import os, sys, tempfile, time, tracemalloc
@@ -70,42 +69,21 @@ print(tukey_s / len(TUKEY), ech_s / len(ECH), json_s / len(layers), peak, vertic
 """
 
 
-def exponent(points: list[tuple[int, float]]) -> float | None:
-    """Least-squares slope of log(time) against log(n)."""
-    if len(points) < 2:
-        return None
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(t) for _, t in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-            / sum((x - mx) ** 2 for x in xs))
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default="src")
-    parser.add_argument("--sizes", default="27,80,160,400")
-    parser.add_argument("--limit", type=float, default=300.0)
-    args = parser.parse_args()
-    rows, skipped = {}, []
-    for n in map(int, args.sizes.split(",")):
-        try:
-            proc = subprocess.run([sys.executable, "-c", CHILD.format(src=args.src, n=n)],
-                                  capture_output=True, text=True, timeout=args.limit,
-                                  check=True)
-        except subprocess.TimeoutExpired:
-            skipped.append(n)
-            print(f"n={n}: skipped, over {args.limit:g} s")
-            continue
-        tukey, ech, doc, peak, vertices, size = proc.stdout.split()
-        rows[n] = {"tukey_region_s_per_level": float(tukey),
-                   "echstar_region_s_per_level": float(ech),
-                   "json_s_per_layer": float(doc),
-                   "tukey_peak_mb": int(peak) / 2**20,
-                   "vertices": int(vertices), "json_bytes": int(size)}
+    args = parse_args(__doc__, "27,80,160,400", 300.0)
+
+    def row(n: int, words: list[str]) -> dict:
+        tukey, ech, doc, peak, vertices, size = words
         print(f"n={n}: tukey {1e3 * float(tukey):.4g} ms, echstar {1e3 * float(ech):.4g} ms "
               f"per level; json {1e3 * float(doc):.4g} ms per layer; "
               f"tukey peak {int(peak) / 2**20:.4g} MB")
+        return {"tukey_region_s_per_level": float(tukey),
+                "echstar_region_s_per_level": float(ech),
+                "json_s_per_layer": float(doc),
+                "tukey_peak_mb": int(peak) / 2**20,
+                "vertices": int(vertices), "json_bytes": int(size)}
+
+    rows, skipped = measure(args, CHILD, row)
     print(json.dumps({
         "sizes": rows, "skipped_over_limit": skipped, "limit_s": args.limit,
         "tukey_region_exp": exponent([(n, r["tukey_region_s_per_level"])
