@@ -3,7 +3,10 @@
 Values are exact fractions of counts, so equal inputs give bitwise equal
 outputs.  Planar halfspace and simplicial depth are two reductions of one
 table: the data points' sides of the lines through the query and each data
-point.  Tukey regions intersect the finitely many binding halfplanes;
+point.  It is read from one angular order of the data points about each
+query, in O(n log n) per query; a query where two directions from it come
+within rounding of one line is resolved by the full n x n table of those
+sides.  Tukey regions intersect the finitely many binding halfplanes;
 simplicial depth in d >= 3 enumerates closed simplices.
 """
 
@@ -34,6 +37,13 @@ _LINE_ENTRY_BYTES = 40
 #: the most entries it takes at once, whatever the budget: bigger blocks
 #: run slower, as their temporaries leave the cache and are paged in afresh
 _LINE_BLOCK_ENTRIES = 2**14
+#: two directions from a query, or a direction and an antipode, closer
+#: than this in radians are a near-tie: farther apart, the sine between two
+#: directions and its rounding cannot meet the 1e-12 on-a-line rule
+_ANGLE_GAP = 1e-9
+#: bytes per (query, data point) entry of :func:`_angular_left`: the
+#: temporaries take about 70, and chunks of this size ran fastest
+_ANGLE_ENTRY_BYTES = 320
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +118,103 @@ def _line_tables(qs: np.ndarray, cloud: DataCloud):
         yield slice(start, start + step), fewest, left
 
 
+def _half_turns(angle: np.ndarray) -> np.ndarray | None:
+    """For each far direction from one query, given by its angle in
+    [-pi, pi]: the far points strictly counter-clockwise of it within a
+    half-turn; or None at a near-tie (see :func:`_angular_order`).
+
+    The angles are sorted and doubled by a turn, so each antipode finds the
+    points within a half-turn of its own point by one ``searchsorted``; its
+    neighbours there, and the gaps of the doubled angles, are the cyclic
+    gaps between the directions and their antipodes.
+    """
+    m = angle.size
+    if m == 0:
+        return np.empty(0, dtype=np.int32)
+    order = np.argsort(angle)
+    angle = angle[order]
+    doubled = np.concatenate([angle, angle + 2.0 * np.pi])
+    antipode = angle + np.pi
+    pos = doubled.searchsorted(antipode)
+    if min((doubled[1:m + 1] - angle).min(), (doubled[pos] - antipode).min(),
+           (antipode - doubled[pos - 1]).min()) < _ANGLE_GAP:
+        return None
+    left = np.empty(m, dtype=np.int32)
+    left[order] = pos - np.arange(1, m + 1)
+    return left
+
+
+def _angular_order(rel: np.ndarray, tol: float):
+    """``left`` (m, n) and ``tie`` (m,) for the offsets ``rel`` (m, n, 2)
+    of the data points from m planar queries.
+
+    A point is far when it lies beyond ``tol``.  ``left[a]`` counts the far
+    points strictly counter-clockwise of a within a half-turn (0 when a is
+    not far).  Each far direction is folded onto the upper half-turn, so
+    that one sort of n angles orders the directions and their antipodes at
+    once (AS 307): the points left of a are those after it on its own
+    half-turn and those before it on the other.  ``tie`` flags a query two
+    of whose directions or antipodes lie within ``_ANGLE_GAP`` of each
+    other; on the other queries no two far points are within rounding of
+    one line through the query, so ``left`` is the ``k`` of
+    :func:`_line_tables`.
+    """
+    m, n = rel.shape[:2]
+    far = np.hypot(rel[..., 0], rel[..., 1]) > tol
+    if m == 1:
+        # on a single row the 1-D form takes about half the time of the row
+        # gathers below
+        left = np.zeros((1, n), dtype=np.int32)
+        offsets = rel[far]
+        row = _half_turns(np.arctan2(offsets[:, 1], offsets[:, 0]))
+        if row is not None:
+            left[far] = row
+        return left, np.array([row is None])
+    angle = np.arctan2(rel[..., 1], rel[..., 0])
+    lower = angle < 0.0
+    n_lower = _count(lower & far)[:, None]
+    np.add(angle, np.pi, out=angle, where=lower)
+    # points that are not far sort last, out of the way of the folded angles
+    np.copyto(angle, np.arange(4.0, 4.0 + n), where=~far)
+    # the flat positions of each row's sorted entries
+    order = np.argsort(angle, axis=1)
+    order += np.arange(0, m * n, n)[:, None]
+    angle, lower = angle.take(order), lower.take(order)
+    n_far = _count(far)
+    last = angle[np.arange(m), np.maximum(n_far - 1, 0)]
+    tie = _count(np.diff(angle, axis=1) < _ANGLE_GAP) > 0
+    tie |= angle[:, 0] + np.pi - last < _ANGLE_GAP
+    # c = 2 (lower points before a) - (points before a)
+    c = np.cumsum(lower, axis=1, dtype=np.int32)
+    c -= lower
+    c *= 2
+    c -= np.arange(n, dtype=np.int32)
+    ranked = np.where(lower, n_lower - 1 - c, (n_far[:, None] - n_lower) - 1 + c)
+    ranked[np.arange(n) >= n_far[:, None]] = 0
+    left = np.empty_like(ranked)
+    left.put(order, ranked)
+    return left, tie
+
+
+def _angular_left(qs: np.ndarray, cloud: DataCloud):
+    """Per chunk of the planar queries ``qs``: its rows and the table ``k``
+    of :func:`_line_tables`, bitwise, from one angular order per query
+    (:func:`_angular_order`).  The rows with a near-tie are taken from
+    :func:`_line_tables`.  Queries go in chunks under ``core.BATCH_BYTES``.
+    """
+    pts, n = cloud.points, cloud.n
+    tol = _BOUNDARY_REL_TOL * cloud.extent
+    step = max(1, core.BATCH_BYTES // (_ANGLE_ENTRY_BYTES * n))
+    for start in range(0, qs.shape[0], step):
+        chunk = qs[start:start + step]
+        left, tie = _angular_order(pts - chunk[:, None], tol)
+        if tie.any():
+            ties = np.flatnonzero(tie)
+            for rows, _, k in _line_tables(chunk[ties], cloud):
+                left[ties[rows]] = k
+        yield slice(start, start + step), left
+
+
 # ---------------------------------------------------------------------------
 # halfspace depth
 # ---------------------------------------------------------------------------
@@ -129,11 +236,22 @@ def halfspace_depth_2d(z, cloud: DataCloud) -> float:
     The count of points in the closed halfplane {x : <u, x - z> >= 0} is
     piecewise constant in the angle of u and changes only where the boundary
     line passes through a data point, so the minimum is attained just beside
-    such a line (:func:`_line_tables`).
+    such a line.  One sort of the directions from z gives, for each, the
+    points on either side of its line (:func:`_half_turns`); at a near-tie
+    the line table decides (:func:`_line_tables`).
     """
     cloud.require_dim(2)
-    (_, fewest, _), = _line_tables(cloud.point_of(z)[None], cloud)
-    return int(fewest.min()) / cloud.n
+    q = cloud.point_of(z)
+    rel = cloud.points - q
+    far = np.hypot(rel[:, 0], rel[:, 1]) > _BOUNDARY_REL_TOL * cloud.extent
+    left = _half_turns(np.arctan2(rel[far, 1], rel[far, 0]))
+    if left is None:
+        (_, fewest, _), = _line_tables(q[None], cloud)
+        return int(fewest.min()) / cloud.n
+    # min(left, right) beside each far point's line, plus the points at z
+    # (all n when no point is far)
+    m = left.size
+    return (int(np.minimum(left, m - 1 - left).min(initial=m)) + cloud.n - m) / cloud.n
 
 
 def halfspace_depth(z, cloud: DataCloud) -> float:
@@ -159,8 +277,8 @@ def random_tukey_depth(z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIO
     # project the differences, not the raw coordinates: a query equal to a
     # data point keeps its exact zero row under translation and scaling
     proj = dirs @ (cloud.points - q).T
-    le = np.count_nonzero(proj <= 0.0, axis=1)
-    ge = np.count_nonzero(proj >= 0.0, axis=1)
+    le = _count(proj <= 0.0)
+    ge = _count(proj >= 0.0)
     return int(np.minimum(le, ge).min()) / cloud.n
 
 
@@ -362,8 +480,10 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     """Fraction of closed data simplices (d+1 vertices) containing each row.
 
     Exact for d <= 4: in d <= 2 it counts the simplices that miss each
-    query, vectorised over the queries; beyond, it enumerates them, and
-    raises when C(n, d+1) exceeds the enumeration cap.
+    query, vectorised over the queries, in the plane from one angular order
+    per query with near-ties resolved by the line table
+    (:func:`_angular_left`); beyond, it enumerates them, and raises when
+    C(n, d+1) exceeds the enumeration cap.
     """
     qs = cloud.points_of(zs)
     n, d = cloud.n, cloud.d
@@ -377,7 +497,7 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
         counts = _segments_containing(qs, cloud, total)
     elif d == 2:
         counts = np.full(qs.shape[0], float(total))
-        for rows, _, k in _line_tables(qs, cloud):
+        for rows, k in _angular_left(qs, cloud):
             # each triangle that misses a query, at its most clockwise vertex
             counts[rows] -= (k * (k - 1) // 2).sum(axis=1)
     else:

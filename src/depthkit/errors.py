@@ -66,6 +66,10 @@ class EmptyTimeSetError(DepthKitError):
     code = "EMPTY_T"
 
 
+class InvalidTimeSetError(DepthKitError):
+    code = "INVALID_T"
+
+
 class NonlinearFunctionalError(DepthKitError):
     code = "NONLINEAR_FUNCTIONAL"
 

@@ -25,6 +25,7 @@ import numpy as np
 from .cloud import DataCloud
 from .errors import (
     EmptyTimeSetError,
+    InvalidTimeSetError,
     NonlinearFunctionalError,
     UnknownDepthError,
 )
@@ -124,7 +125,13 @@ def _time_indices(sample: FunctionalSample, t_indices) -> np.ndarray:
     if t_indices is None:
         idx = np.arange(sample.k)
     else:
-        idx = np.asarray(list(t_indices), dtype=int).reshape(-1)
+        given = list(t_indices)
+        idx = np.asarray(given).reshape(-1)
+        # a position is an integer: a cast would read 0.9 as 0 and True as 1
+        if (any(isinstance(j, (bool, np.bool_)) for j in given) or idx.dtype.kind not in "iuf"
+                or not np.all(np.isfinite(idx) & (idx == np.round(idx)))):
+            raise InvalidTimeSetError(f"grid positions must be integers, got {given!r}")
+        idx = idx.astype(int)
     if idx.size == 0:
         raise EmptyTimeSetError("the set of grid positions is empty")
     if idx.min() < 0 or idx.max() >= sample.k:

@@ -8,6 +8,7 @@ from depthkit.combinatorial import halfspace_depth
 from depthkit.core import DataCloud
 from depthkit.errors import (
     EmptyTimeSetError,
+    InvalidTimeSetError,
     NonlinearFunctionalError,
     UnknownDepthError,
 )
@@ -155,6 +156,25 @@ def test_graph_depth_respects_time_subset_errors():
         graph_depth(z, s, t_indices=[4])
     with pytest.raises(ValueError):
         graph_depth(z, s, t_indices=[-1])
+
+
+@pytest.mark.parametrize("t_indices", [[0.9], [True], [1, False], [1.5, 2], [float("nan")],
+                                       np.array([True, False]), ["1"]])
+def test_time_positions_must_be_integers(t_indices):
+    s = random_sample(4, 5, 4)
+    z = np.zeros(4)
+    with pytest.raises(InvalidTimeSetError) as err:
+        graph_depth(z, s, t_indices=t_indices)
+    assert err.value.code == "INVALID_T"
+    with pytest.raises(InvalidTimeSetError):
+        grid_depth(z, s, t_indices=t_indices, options=EvalOptions(budget=10, seed=0))
+
+
+def test_integral_float_time_positions_read_as_positions():
+    s = random_sample(4, 5, 4)
+    z = np.zeros(4)
+    assert graph_depth(z, s, t_indices=[0.0, 2.0]) == graph_depth(z, s, t_indices=[0, 2])
+    assert graph_depth(z, s, t_indices=np.array([1, 3])) == graph_depth(z, s, t_indices=[1, 3])
 
 
 # ---------------------------------------------------------------------------
