@@ -1,4 +1,5 @@
-"""Combinatorial depths: halfspace (Tukey), its regions, and simplicial depth.
+"""Combinatorial depths: halfspace (Tukey), its regions, random Tukey depth,
+and simplicial depth.
 
 Values are exact fractions of counts, so equal inputs give bitwise equal
 outputs.  Planar halfspace and simplicial depth are two reductions of one
@@ -7,7 +8,9 @@ point.  It is read from one angular order of the data points about each
 query, in O(n log n) per query; a query where two directions from it come
 within rounding of one line is resolved by the full n x n table of those
 sides.  Tukey regions intersect the finitely many binding halfplanes;
-simplicial depth in d >= 3 enumerates closed simplices.
+random Tukey depth counts the data's sides on seeded directions, for a
+batch from the data's projections sorted once; simplicial depth in d >= 3
+enumerates closed simplices.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .cloud import DataCloud
 from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
 from .core import check_level, clamp_depths, enumeration_size, in_chunks
 from .errors import DimensionMismatchError
-from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull
+from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull, half_turn_order
 from .lp import feasible
 from .rng import DEFAULT_OPTIONS, EvalOptions, unit_directions
 
@@ -170,17 +173,11 @@ def _angular_order(rel: np.ndarray, tol: float):
         if row is not None:
             left[far] = row
         return left, np.array([row is None])
-    angle = np.arctan2(rel[..., 1], rel[..., 0])
-    lower = angle < 0.0
-    n_lower = _count(lower & far)[:, None]
-    np.add(angle, np.pi, out=angle, where=lower)
     # points that are not far sort last, out of the way of the folded angles
-    np.copyto(angle, np.arange(4.0, 4.0 + n), where=~far)
-    # the flat positions of each row's sorted entries
-    order = np.argsort(angle, axis=1)
-    order += np.arange(0, m * n, n)[:, None]
-    angle, lower = angle.take(order), lower.take(order)
+    order, angle, lower = half_turn_order(rel[..., 0], rel[..., 1], last=~far)
     n_far = _count(far)
+    lower &= np.arange(n) < n_far[:, None]
+    n_lower = _count(lower)[:, None]
     last = angle[np.arange(m), np.maximum(n_far - 1, 0)]
     tie = _count(np.diff(angle, axis=1) < _ANGLE_GAP) > 0
     tie |= angle[:, 0] + np.pi - last < _ANGLE_GAP
@@ -263,23 +260,6 @@ def halfspace_depth(z, cloud: DataCloud) -> float:
     raise DimensionMismatchError(
         "exact halfspace depth is available in d <= 2; use random_tukey_depth beyond"
     )
-
-
-def random_tukey_depth(z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """Minimum univariate halfspace depth over seeded random directions.
-
-    Never below the exact halfspace depth: every direction is a witness, so
-    the minimum over a finite set is an upper bound, weakly decreasing as the
-    budget grows with the same seed.
-    """
-    q = cloud.point_of(z)
-    dirs = unit_directions(cloud.d, options.budget, options.seed)
-    # project the differences, not the raw coordinates: a query equal to a
-    # data point keeps its exact zero row under translation and scaling
-    proj = dirs @ (cloud.points - q).T
-    le = _count(proj <= 0.0)
-    ge = _count(proj >= 0.0)
-    return int(np.minimum(le, ge).min()) / cloud.n
 
 
 def _collinear_frame(pts: np.ndarray, tol: float):
@@ -431,6 +411,190 @@ def halfspace_region(cloud: DataCloud, alpha: float) -> ConvexRegion:
     k = _level_count(cloud.n, check_level(alpha))
     span = _trimmed_span(cloud.points[:, 0], k, 0.0)
     return ConvexRegion.empty(1) if span is None else ConvexRegion.interval(*span)
+
+
+# ---------------------------------------------------------------------------
+# random Tukey depth
+# ---------------------------------------------------------------------------
+
+
+#: working set per (direction, data point) entry of :func:`_signs_count`:
+#: the projection and one sign mask
+_SIGN_ENTRY_BYTES = 10
+#: working set per (direction, query) entry of :func:`_table_sides`: the
+#: projections, their order, the search keys and the positions found
+_TABLE_ENTRY_BYTES = 40
+#: queries per block of :func:`_table_counts`, and the most (direction,
+#: query) entries a block takes whatever the budget: bigger blocks run
+#: slower, as their temporaries leave the cache
+_TABLE_QUERY_ROWS = 512
+_TABLE_BLOCK_ENTRIES = 2**15
+#: a batch reads the sorted table when queries x data points reaches this;
+#: below, the per-direction sort and searches cost more than the products
+#: they save (measured by tools/tukey_oja_scaling.py)
+_TABLE_MIN_ENTRIES = 2000
+#: unit roundoff of a float64
+_EPS = 2.0**-53
+
+
+def _direction_blocks(count: int, size: int):
+    """Slices of ``count`` directions in the fewest blocks of at most
+    ``size`` (even, at least 2) rows, all of about one size, as a small
+    last block leaves the allocator with odd-sized holes.  Each holds an
+    even number of rows but the last, and none is a single row unless
+    ``count`` is 1: the last one takes the row that would be left over,
+    since BLAS multiplies one row, and rounds it, differently from a block
+    of rows."""
+    blocks = -(-count // size)
+    size = 2 * -(-count // (2 * blocks))
+    start = 0
+    while start < count:
+        stop = min(start + size, count)
+        if count - stop == 1:
+            stop = count
+        yield slice(start, stop)
+        start = stop
+
+
+def _signs_count(q: np.ndarray, pts: np.ndarray, dirs: np.ndarray) -> int:
+    """min over the directions u of min(#{u.(p - q) <= 0}, #{u.(p - q) >= 0}),
+    from the products ``dirs @ (pts - q).T`` in blocks of directions under
+    ``core.BATCH_BYTES``."""
+    # project the differences, not the raw coordinates: a query equal to a
+    # data point keeps its exact zero row under translation and scaling
+    rel = (pts - q).T
+    size = 2 * max(1, core.BATCH_BYTES // (2 * _SIGN_ENTRY_BYTES * pts.shape[0]))
+    fewest = pts.shape[0]
+    for block in _direction_blocks(dirs.shape[0], size):
+        proj = dirs[block] @ rel
+        le = _count(proj <= 0.0)
+        ge = _count(proj >= 0.0)
+        del proj  # before the next block's
+        fewest = min(fewest, int(np.minimum(le, ge).min()))
+    return fewest
+
+
+def _equal_rows(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The number of data points equal to each query, coordinate by
+    coordinate."""
+    def block(q):
+        same = q[:, 0, None] == pts[:, 0]
+        for j in range(1, pts.shape[1]):
+            same &= q[:, j, None] == pts[:, j]
+        return _count(same)
+
+    # the mask, one coordinate's comparison and the count's buffers
+    return in_chunks(block, qs, 4 * pts.shape[0], dtype=np.int64)
+
+
+def _table_sides(table: np.ndarray, proj: np.ndarray, band: np.ndarray,
+                 equal: np.ndarray):
+    """For a block of k directions: the fewest data points on either side
+    of each of r queries, and whether a band of the query holds a point
+    not equal to it.
+
+    ``table`` (k, n) holds the data's sorted projections, ``proj`` (k, r)
+    the queries', ``band`` (r,) their rounding bands and ``equal`` (r,) the
+    data points equal to each.  Below the band lie ``below`` points; the
+    band holds only the ``equal`` ones exactly when the next point up lies
+    above it.  Then ``below + equal`` points have a product <= 0 and
+    ``n - below`` one >= 0.
+    """
+    k, n = table.shape
+    # the keys search fastest in ascending order
+    order = np.argsort(proj, axis=1)
+    keys = band[order]
+    order += np.arange(0, proj.size, proj.shape[1])[:, None]
+    np.subtract(proj.take(order), keys, out=keys)
+    found = np.empty_like(order)
+    for row in range(k):
+        found[row] = table[row].searchsorted(keys[row])
+    below = np.empty_like(found)
+    below.put(order, found)
+    del order, keys, found
+    nxt = below + equal
+    clear = nxt == n
+    np.minimum(nxt, n - 1, out=nxt)
+    nxt += np.arange(0, k * n, n)[:, None]
+    proj += band
+    clear |= table.take(nxt) > proj
+    del nxt
+    np.minimum(below + equal, n - below, out=below)
+    return below.min(axis=0), ~clear.all(axis=0)
+
+
+def _table_counts(qs: np.ndarray, pts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The counts of :func:`_signs_count` for each row of ``qs``, bitwise,
+    from the data's projections sorted once per block of directions.
+
+    Projections are taken from the centre c of the data's bounding box, so
+    their rounding follows the cloud's spread, not its position.  With
+    r = max |p - c| and s = |q - c|, fl(u.(p - c)) - fl(u.(q - c)) and
+    fl(u.(p - q)) each lie within (d + 1) eps (r + s) (1 + O(eps)) of
+    u.(p - q), so outside the band of 4 (d + 2) eps (r + s) around
+    fl(u.(q - c)) the side a data point falls on in the table is the sign
+    of the product of :func:`_signs_count` (:func:`_table_sides`).  A data
+    point equal to the query has the product 0, and so counts on both
+    sides.  A query whose band holds any other point on some direction
+    goes to :func:`_signs_count`.  Directions and queries go in blocks
+    under ``core.BATCH_BYTES``.
+    """
+    n, d = pts.shape
+    m = qs.shape[0]
+    centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    rel = pts - centre
+    qrel = qs - centre
+    band = np.sqrt(np.einsum("ij,ij->i", qrel, qrel))
+    band += float(np.sqrt(np.einsum("ij,ij->i", rel, rel)).max())
+    band *= 4 * (d + 2) * _EPS
+    # below the normal range, rounding is absolute
+    band += np.finfo(float).tiny
+    equal = _equal_rows(qs, pts)
+    fewest = np.full(m, n, dtype=np.int64)
+    tie = np.zeros(m, dtype=bool)
+    # queries per block: a block of two directions takes at most half the budget
+    rows = max(1, min(m, _TABLE_QUERY_ROWS, core.BATCH_BYTES // (4 * _TABLE_ENTRY_BYTES)))
+    size = min(core.BATCH_BYTES // (8 * n + _TABLE_ENTRY_BYTES * rows),
+               _TABLE_BLOCK_ENTRIES // rows)
+    size = 2 * max(1, size // 2)
+    for block in _direction_blocks(dirs.shape[0], size):
+        table = dirs[block] @ rel.T
+        table.sort(axis=1)
+        for start in range(0, m, rows):
+            part = slice(start, start + rows)
+            least, near = _table_sides(table, dirs[block] @ qrel[part].T,
+                                       band[part], equal[part])
+            np.minimum(fewest[part], least, out=fewest[part])
+            tie[part] |= near
+        del table  # before the next block's
+    for i in np.flatnonzero(tie):
+        fewest[i] = _signs_count(qs[i], pts, dirs)
+    return fewest
+
+
+def random_tukey_depth(z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIONS):
+    """Minimum univariate halfspace depth over seeded random directions.
+
+    Never below the exact halfspace depth: every direction is a witness, so
+    the minimum over a finite set is an upper bound, weakly decreasing as the
+    budget grows with the same seed.
+
+    ``z`` is one point, and the depth a float; or an (m, d) array of query
+    rows, and the depths an (m,) array, each bitwise the depth of its row
+    alone.  A point counts the sides of the data on every direction
+    (:func:`_signs_count`); a batch large enough reads them from the sorted
+    projections (:func:`_table_counts`).
+    """
+    batch = isinstance(z, np.ndarray) and z.ndim == 2
+    qs = cloud.points_of(z) if batch else cloud.point_of(z)[None]
+    dirs = unit_directions(cloud.d, options.budget, options.seed)
+    if qs.shape[0] > 1 and qs.shape[0] * cloud.n >= _TABLE_MIN_ENTRIES:
+        counts = _table_counts(qs, cloud.points, dirs)
+    else:
+        counts = np.array([_signs_count(q, cloud.points, dirs) for q in qs], dtype=np.int64)
+    if not batch:
+        return int(counts[0]) / cloud.n
+    return counts / cloud.n
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,28 @@ def convex_hull(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def half_turn_order(x: np.ndarray, y: np.ndarray, last: np.ndarray | None = None):
+    """The planar directions (x, y), (m, n), sorted row by row on one
+    half-turn.
+
+    A direction below the x-axis (angle < 0) is turned by pi onto its
+    antipode, so that one sort of the folded angles in [0, pi] orders the
+    directions and their antipodes at once (Rousseeuw & Ruts 1996, AS 307).
+    Entries where ``last`` is True sort after all others, in index order.
+    Returns the flat positions of each row's entries in that order, and the
+    folded angles and the mask of the turned entries in the same order.
+    """
+    m, n = x.shape
+    angle = np.arctan2(y, x)
+    lower = angle < 0.0
+    np.add(angle, np.pi, out=angle, where=lower)
+    if last is not None:
+        np.copyto(angle, np.arange(4.0, 4.0 + n), where=last)
+    order = np.argsort(angle, axis=1)
+    order += np.arange(0, m * n, n)[:, None]
+    return order, angle.take(order), lower.take(order)
+
+
 #: working set per (query, edge) pair of the edge test: two offsets, two
 #: products and the cross product, then the verdict
 _CROSS_BYTES = 5 * 8 + 1

@@ -23,7 +23,7 @@ from . import core
 from .cloud import DataCloud
 from .core import check_level, clamp_depths, enumeration_size, in_chunks, rows_times
 from .errors import SingularScatterError, ZeroMadError
-from .geometry import ConvexRegion
+from .geometry import ConvexRegion, half_turn_order
 
 
 @dataclass(frozen=True)
@@ -255,17 +255,30 @@ class ProjectionIndex:
     def outlyingness(self, zs: np.ndarray) -> np.ndarray:
         """max over directions of |<p, z> - med| / mad, for each row of zs.
 
-        Each chunk of queries works in one (rows, directions) buffer of at
-        most ``_OUT_BLOCK_ENTRIES`` entries, and of at least one row.
+        Queries and directions go in blocks, one (rows, directions) buffer
+        of at most ``_OUT_BLOCK_ENTRIES`` entries at a time (and at least
+        one query), with a running maximum over the direction blocks: each
+        entry is summed in a fixed order (``core.rows_times``) and the
+        maximum is exact, so the blocks do not change the result.
         """
-        rows = max(1, min(core.BATCH_BYTES // 8, _OUT_BLOCK_ENTRIES) // self.dirs.shape[0])
+        entries = min(core.BATCH_BYTES // 8, _OUT_BLOCK_ENTRIES)
+        # the fewest direction blocks that fit, all of about one size: a
+        # small last block leaves the allocator with odd-sized holes
+        count = self.dirs.shape[0]
+        blocks = -(-count // entries)
+        cols = -(-count // blocks)
+        rows = max(1, entries // cols)
         out = np.empty(zs.shape[0])
         for start in range(0, zs.shape[0], rows):
-            buf = rows_times(zs[start:start + rows], self.dirs)
-            buf -= self.med
-            np.abs(buf, out=buf)
-            buf /= self.mad
-            np.max(buf, axis=1, out=out[start:start + rows])
+            part = out[start:start + rows]
+            part.fill(-np.inf)
+            for first in range(0, self.dirs.shape[0], cols):
+                block = slice(first, first + cols)
+                buf = rows_times(zs[start:start + rows], self.dirs[block])
+                buf -= self.med[block]
+                np.abs(buf, out=buf)
+                buf /= self.mad[block]
+                np.maximum(part, buf.max(axis=1), out=part)
         return out
 
 
@@ -295,27 +308,80 @@ def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: in
 # ---------------------------------------------------------------------------
 
 
+#: clouds of at least this many points sum the planar Oja volumes from one
+#: angular order per query; smaller ones sum the C(n, 2) pair determinants,
+#: which cost less there (measured by tools/tukey_oja_scaling.py)
+_OJA_ANGULAR_MIN_N = 24
+#: working set per (query, data point) entry of :func:`_oja_angular_sums`
+_OJA_ENTRY_BYTES = 160
+
+
+def _oja_pair_sums(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum over i < j of |det(x_i - z, x_j - z)| for each planar query z,
+    pair by pair."""
+    iu, ju = np.triu_indices(pts.shape[0], k=1)
+    xi, xj = pts[iu], pts[ju]
+
+    def block(q):
+        # det(x_i - z, x_j - z), in the difference form
+        dets = ((xi[:, 0] - q[:, 0:1]) * (xj[:, 1] - q[:, 1:2])
+                - (xi[:, 1] - q[:, 1:2]) * (xj[:, 0] - q[:, 0:1]))
+        return np.abs(dets).sum(axis=1)
+
+    return in_chunks(block, qs, 48 * iu.size)
+
+
+def _oja_angular_sums(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The sums of :func:`_oja_pair_sums` from one angular order per query.
+
+    With a_i = x_i - z, sum_{i<j} |det(a_i, a_j)| = sum_i det(a_i, S_i),
+    where S_i sums the a_j strictly counter-clockwise of a_i within a
+    half-turn: each pair counts once, at the clockwise one of the two.
+    After the folded sort (:func:`half_turn_order`), S_i is what follows
+    a_i on its own half-turn plus what precedes it on the other, so one
+    cumulative sum of the offsets, negated on the lower half-turn, gives
+    every S_i.  |det| is continuous, so a pair whose order rounding may
+    swap changes the sum only at rounding level; an a_i of 0 adds 0.
+    Queries go in chunks under ``core.BATCH_BYTES``.
+    """
+
+    def block(q):
+        x = pts[:, 0] - q[:, 0:1]
+        y = pts[:, 1] - q[:, 1:2]
+        order, _, lower = half_turn_order(x, y)
+        a = [x.take(order), y.take(order)]
+        s = []
+        for c in a:
+            up = np.where(lower, 0.0, c)
+            down = c - up
+            # run_i: the upper offsets minus the lower ones, up to and
+            # including a_i; S_i is the upper total minus run_i for an
+            # upper a_i, the lower total plus run_i for a lower one
+            run = np.cumsum(up - down, axis=1)
+            s.append(np.where(lower, down.sum(axis=1)[:, None] + run,
+                              up.sum(axis=1)[:, None] - run))
+        return (a[0] * s[1] - a[1] * s[0]).sum(axis=1)
+
+    return in_chunks(block, qs, _OJA_ENTRY_BYTES * pts.shape[0])
+
+
 def _oja_expected_volumes(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Mean volume of the simplex spanned by each query and d points drawn i.i.d.
 
     Tuples with a repeated index span a degenerate simplex of volume zero, so
     the expectation over the n^d ordered tuples reduces to a sum over the
-    d-element subsets: each contributes |det(x_i - z)| / n^d.
+    d-element subsets: each contributes |det(x_i - z)| / n^d.  In the plane
+    the sum over pairs is read from one angular order per query once n
+    reaches ``_OJA_ANGULAR_MIN_N`` (O(n log n) per query instead of O(n^2)),
+    and agrees with the pair sum to rounding; beyond the plane the subsets
+    are enumerated.
     """
     n, d = pts.shape
     if d == 1:
         return in_chunks(lambda q: np.mean(np.abs(pts[:, 0] - q), axis=1), qs, 24 * n)
     if d == 2:
-        iu, ju = np.triu_indices(n, k=1)
-        xi, xj = pts[iu], pts[ju]
-
-        def block(q):
-            # det(x_i - z, x_j - z), in the difference form
-            dets = ((xi[:, 0] - q[:, 0:1]) * (xj[:, 1] - q[:, 1:2])
-                    - (xi[:, 1] - q[:, 1:2]) * (xj[:, 0] - q[:, 0:1]))
-            return np.abs(dets).sum(axis=1)
-
-        return in_chunks(block, qs, 48 * iu.size) / n**2
+        sums = _oja_angular_sums if n >= _OJA_ANGULAR_MIN_N else _oja_pair_sums
+        return sums(qs, pts) / n**2
     # subsets in blocks of a fixed size, so each row sums them the same way
     # whatever the batch
     size = max(1, core.BATCH_BYTES // (16 * d * d))
@@ -330,8 +396,14 @@ def _oja_expected_volumes(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def oja_depth_many(zs, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> np.ndarray:
-    """(1 + E[simplex volume] / sqrt(det scatter))^-1 for each row, by exact
-    enumeration of the d-point subsets (capped for d >= 3)."""
+    """(1 + E[simplex volume] / sqrt(det scatter))^-1 for each row.
+
+    The expected volume is a sum over the d-point subsets of the data
+    (:func:`_oja_expected_volumes`): exact in d = 1, in the plane summed by
+    pairs or, from n = ``_OJA_ANGULAR_MIN_N``, from one angular order per
+    query, which agrees with the pair sum to rounding, and for d >= 3
+    enumerated under the simplex enumeration cap.
+    """
     qs = cloud.points_of(zs)
     if cloud.n < cloud.d:
         raise ValueError(f"need at least d={cloud.d} points, got n={cloud.n}")

@@ -192,4 +192,5 @@ register(DepthSpec(
     name="random-tukey",
     variant="scale",
     point=lambda z, cloud, opts: combinatorial.random_tukey_depth(z, cloud, opts),
+    batch=lambda zs, cloud, opts: combinatorial.random_tukey_depth(zs, cloud, opts),
 ))

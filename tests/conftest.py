@@ -12,6 +12,13 @@ def make_cloud(seed: int, n: int, d: int = 2) -> DataCloud:
     return DataCloud(rng.standard_normal((n, d)))
 
 
+def benchmark_gaussian(seed: int, n: int) -> np.ndarray:
+    """A planar Gaussian sample with the shape and offset of the
+    benchmark's g80 and g400 clouds."""
+    rng = np.random.default_rng([seed, n])
+    return rng.standard_normal((n, 2)) @ np.array([[2.0, 0.0], [0.7, 1.0]]).T + [10.0, 5.0]
+
+
 def linprog_zonoid_depth(q, pts) -> float:
     """Zonoid depth by scipy's HiGHS: 1 / (n t) for the least t such that
     q = sum_i lambda_i x_i with convex weights lambda_i <= t, or 0 when q

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import benchmark_gaussian
 from depthkit import DataCloud, combinatorial, regions
 from depthkit.combinatorial import halfspace_depth_2d, simplicial_depth_many
 
@@ -51,12 +52,6 @@ def fallback_rows(monkeypatch):
 
     monkeypatch.setattr(combinatorial, "_line_tables", recording)
     return rows
-
-
-def benchmark_gaussian(seed, n):
-    # the shape and offset of the benchmark's g80 and g400 clouds
-    rng = np.random.default_rng([seed, n])
-    return rng.standard_normal((n, 2)) @ np.array([[2.0, 0.0], [0.7, 1.0]]).T + [10.0, 5.0]
 
 
 @pytest.mark.parametrize("n", [80, 400])
