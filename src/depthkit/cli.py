@@ -21,6 +21,7 @@ provides the default seed; ``--seed`` overrides it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -31,9 +32,11 @@ from .core import check_postulates
 from .dataio import Dataset, load_dataset, load_curves
 from .errors import DepthKitError, InvalidAlphaError
 from .functional import graph_depth, grid_depth
-from .registry import EvalOptions, available_depths, get_depth
+from .registry import DEFAULT_OPTIONS, EvalOptions, available_depths, get_depth
 from .regions import (
     DEFAULT_ALPHA_GRID,
+    DEFAULT_GRID_RESOLUTION,
+    MAX_GRID_RESOLUTION,
     depth_lift,
     depth_order_leq,
     depth_semimetric,
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_eval_flags(p: argparse.ArgumentParser):
         p.add_argument("--seed", type=int, default=seed,
                        help="seed for direction sampling")
-        p.add_argument("--directions", type=int, default=1000,
+        p.add_argument("--directions", type=int, default=DEFAULT_OPTIONS.budget,
                        help="direction budget for approximate depths")
 
     p_depth = sub.add_parser("depth", help="evaluate a depth on points")
@@ -268,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--title", help="plot title")
     p_region.add_argument("--labels", action="store_true",
                           help="draw point labels")
-    p_region.add_argument("--resolution", type=int, default=256,
-                          help="grid resolution for non-exact contours, 2 to 2048")
+    p_region.add_argument("--resolution", type=int, default=DEFAULT_GRID_RESOLUTION,
+                          help="grid resolution for non-exact contours, "
+                               f"2 to {MAX_GRID_RESOLUTION}")
     add_eval_flags(p_region)
     _add_io_flags(p_region)
     p_region.set_defaults(func=_cmd_region)
@@ -305,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run the invariance harness on data")
     p_check.add_argument("name")
     p_check.add_argument("--data", required=True)
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    audit = inspect.signature(check_postulates).parameters
+    p_check.add_argument("--trials", type=int, default=audit["trials"].default)
+    p_check.add_argument("--tol", type=float, default=audit["tol"].default)
     p_check.add_argument("--variant",
                          choices=("affine", "isometric", "scale"),
                          help="override the registered invariance class")

@@ -431,7 +431,7 @@ _TABLE_QUERY_ROWS = 512
 _TABLE_BLOCK_ENTRIES = 2**15
 #: a batch reads the sorted table when queries x data points reaches this;
 #: below, the per-direction sort and searches cost more than the products
-#: they save (measured by tools/tukey_oja_scaling.py)
+#: they save (measured by tools/scaling.py tukey_oja)
 _TABLE_MIN_ENTRIES = 2000
 #: unit roundoff of a float64
 _EPS = 2.0**-53

@@ -24,6 +24,7 @@ from .cloud import DataCloud
 from .core import check_level, clamp_depths, enumeration_size, in_chunks, rows_times
 from .errors import SingularScatterError, ZeroMadError
 from .geometry import ConvexRegion, half_turn_order
+from .rng import check_budget
 
 
 @dataclass(frozen=True)
@@ -191,12 +192,10 @@ class ProjectionIndex:
     """
 
     def __init__(self, cloud: DataCloud, budget: int, seed: int):
-        if budget < 1:
-            raise ValueError("direction budget must be at least 1")
+        check_budget(budget)
         pts = cloud.points
         n, d = pts.shape
-        dev = pts - pts.mean(axis=0)
-        scatter = dev.T @ dev / n
+        _, scatter = _moment_rule(cloud)
         try:
             np.linalg.cholesky(scatter)
         except np.linalg.LinAlgError:
@@ -310,7 +309,7 @@ def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: in
 
 #: clouds of at least this many points sum the planar Oja volumes from one
 #: angular order per query; smaller ones sum the C(n, 2) pair determinants,
-#: which cost less there (measured by tools/tukey_oja_scaling.py)
+#: which cost less there (measured by tools/scaling.py tukey_oja)
 _OJA_ANGULAR_MIN_N = 24
 #: working set per (query, data point) entry of :func:`_oja_angular_sums`
 _OJA_ENTRY_BYTES = 160

@@ -28,7 +28,7 @@ from .registry import DEFAULT_OPTIONS, DepthSpec, EvalOptions, get_depth
 
 DEFAULT_GRID_RESOLUTION = 256
 #: largest grid side drawn, so a traced field holds at most 2048**2 depths
-_MAX_GRID_RESOLUTION = 2048
+MAX_GRID_RESOLUTION = 2048
 #: share of the data's span added on every side of the grid window
 _GRID_PADDING = 0.10
 #: levels 0.01, 0.02, ..., 1.00
@@ -217,9 +217,9 @@ def region_contours(cloud: DataCloud, depth_name: str,
     levels = [check_level(a) for a in alphas]
     if resolution < 2:
         raise ValueError(f"grid resolution must be at least 2, got {resolution}")
-    if resolution > _MAX_GRID_RESOLUTION:
+    if resolution > MAX_GRID_RESOLUTION:
         raise EnumerationTooLargeError(
-            f"grid resolution {resolution} exceeds {_MAX_GRID_RESOLUTION}")
+            f"grid resolution {resolution} exceeds {MAX_GRID_RESOLUTION}")
     spec = get_depth(depth_name)
     if spec.region_fn is not None:
         return [RegionContour(spec.name, a, True, spec.region_fn(cloud, a), ())

@@ -169,13 +169,18 @@ def wm_region_1d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> Convex
     return ConvexRegion.interval(lo, hi)
 
 
+def _shortest_pair(cloud: DataCloud) -> float:
+    """Pairs of points no farther apart than this, 1e-12 times the larger
+    of 1 and the cloud's extent, give no direction."""
+    return 1e-12 * max(1.0, cloud.extent)
+
+
 def _pair_differences(cloud: DataCloud) -> np.ndarray:
-    """Differences of the pairs of points, keeping those longer than
-    1e-12 times the larger of 1 and the cloud's extent."""
+    """Differences of the pairs of points longer than :func:`_shortest_pair`."""
     pts = cloud.points
     iu, ju = np.triu_indices(cloud.n, k=1)
     diffs = pts[iu] - pts[ju]
-    return diffs[np.linalg.norm(diffs, axis=1) > 1e-12 * max(1.0, cloud.extent)]
+    return diffs[np.linalg.norm(diffs, axis=1) > _shortest_pair(cloud)]
 
 
 #: critical directions per product and sort of the ordered samples
@@ -311,7 +316,7 @@ def _frame_blocks(cloud: DataCloud):
     # a pair gives four directions of n projections, formed and then sorted
     # into a copy: 64 n bytes
     size = max(1, core.BATCH_BYTES // (64 * n))
-    shortest = 1e-12 * max(1.0, cloud.extent)
+    shortest = _shortest_pair(cloud)
     for iu, ju in _pair_blocks(n, size):
         diffs = pts[iu] - pts[ju]
         norms = np.linalg.norm(diffs, axis=1)

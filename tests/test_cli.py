@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from depthkit.cli import build_parser, main
+from depthkit.rng import MAX_DIRECTION_BUDGET
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -191,6 +192,24 @@ def test_region_refuses_a_grid_resolution_out_of_range(tmp_path, capsys, monkeyp
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {code}:") and err.count("\n") == 1
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("directions, code", [
+    ("0", "INVALID_ARGUMENT"), (str(MAX_DIRECTION_BUDGET + 1), "TOO_LARGE"),
+])
+@pytest.mark.parametrize("name", ["random-tukey", "projection"])
+def test_depth_refuses_a_direction_budget_out_of_range(capsys, monkeypatch, name,
+                                                       directions, code):
+    import depthkit.rng as rng
+
+    def no_draw(*args):
+        raise AssertionError("directions were drawn")
+
+    monkeypatch.setattr(rng, "direction_stream", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    rc, out, err = run(capsys, "depth", name, "--data", "eu27", "--directions", directions)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {code}:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

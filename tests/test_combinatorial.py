@@ -22,7 +22,9 @@ from depthkit.combinatorial import (
 )
 from depthkit.core import DataCloud
 from depthkit.errors import DimensionMismatchError, EnumerationTooLargeError
+from depthkit.metric import ProjectionIndex
 from depthkit.registry import EvalOptions, get_depth
+from depthkit.rng import MAX_DIRECTION_BUDGET, direction_stream, unit_directions
 
 
 def halfspace_oracle(q, cloud):
@@ -408,6 +410,29 @@ def test_random_tukey_exact_at_coincident_query():
     assert random_tukey_depth([1.0, 1.0], cloud, EvalOptions(budget=10, seed=0)) == 1.0
 
 
-def test_direction_budget_validation():
-    with pytest.raises(ValueError):
-        EvalOptions(budget=0)
+def test_direction_budget_validation(monkeypatch):
+    import depthkit.rng as rng
+
+    cloud = make_cloud(0, 12)
+
+    def no_draw(*args):
+        raise AssertionError("directions were drawn")
+
+    # refused before anything is drawn
+    monkeypatch.setattr(rng, "direction_stream", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for budget, error in ((0, ValueError), (MAX_DIRECTION_BUDGET + 1, EnumerationTooLargeError)):
+        for refused in (lambda: EvalOptions(budget=budget),
+                        lambda: unit_directions(2, budget, 0),
+                        lambda: ProjectionIndex(cloud, budget, 0)):
+            with pytest.raises(error):
+                refused()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_direction_set_is_the_stream_row_by_row(dim):
+    stream = direction_stream(dim, 7)
+    expected = np.array([next(stream) for _ in range(300)])
+    got = unit_directions(dim, 300, 7)
+    assert got.dtype == np.float64 and not got.flags.writeable
+    assert np.array_equal(got, expected)

@@ -1,49 +1,258 @@
-"""What the scaling tools share: the command line, one fresh interpreter per
-size under a time limit, and the exponent fitted to the times.
+"""Time one layer of depthkit at growing n and fit its scaling exponents.
 
-A tool passes its CHILD snippet, a Python program formatted with ``src``,
-``n`` and any further fields, which prints its numbers on one line.
+Run from the repository root:
+
+    python3 tools/scaling.py LAYER [--src SRC] [--sizes 27,80] [--limit S]
+
+For each size n a fresh interpreter imports ``depthkit`` from SRC (default
+``src``), draws seeded data of n points and times the layer.  Each time is
+the best of up to three runs, a second and third only while the runs so
+far took under 5 s together.  A size whose child takes longer than
+``--limit`` seconds is reported as skipped.  Each size prints one row; the
+last line is JSON: the layer's numbers per n, the sizes skipped, and the
+exponent of every time series (``<name>_s...`` gives ``<name>_exp``),
+fitted by least squares on log-log axes.  Run a layer with ``--src`` set
+to each of two trees to compare them.
+
+The layers, with their default sizes and limit:
+
+``index`` (27,100,400,1600; 60 s)
+    the build of one ``metric.ProjectionIndex`` (budget 1000, seed 0) on a
+    planar Gaussian cloud, and ``outlyingness`` per query over 256 seeded
+    queries.
+``lp`` (10,27,80,160,320; 60 s)
+    ``weighted.zonoid_depth`` per linear program at 16 queries (8 data
+    points, 8 Gaussian draws) on Gaussian clouds in d = 2 and d = 3, and
+    the mean of ``LPResult.pivots``, the simplex steps (pivots and bound
+    flips of both phases), also fitted; null for a ``depthkit`` whose
+    ``LPResult`` has no ``pivots``.
+``region`` (27,80,160,400; 300 s)
+    per level, ``tukey_region_2d`` at alpha 0.1, 0.2 and 0.3 and
+    ``wm_region_2d`` with the ECH* scheme at 0.1, 0.5 and 0.9 (on a fresh
+    cloud for each ladder, so what the cloud keeps is built once per
+    ladder); per layer, ``export_region_json`` of a document of those
+    regions; and the ``tracemalloc`` peak of one ``tukey_region_2d`` at 0.2.
+``sweep`` (27,80,400,1600; 120 s)
+    planar halfspace depth per point call at 64 seeded queries and
+    ``simplicial_depth_many`` per query over a 32 x 32 grid on the data box,
+    from the angular order and from ``combinatorial._line_tables``, the
+    n x n table per query that it falls back to on near-ties.
+``tukey_oja`` (100,200,400,800,1600; 300 s)
+    per query, at 256 of the data points (all of them below n = 256):
+    random Tukey depth with 1000 directions from one sign table per query
+    (``combinatorial._signs_count``) and from projections sorted once per
+    block of directions (``_table_counts``); planar Oja depth from the
+    C(n, 2) pairs (``metric._oja_pair_sums``) and from one angular order
+    per query (``_oja_angular_sums``).
+``wm`` (27,80,100,101,160; 300 s)
+    ECH* weighted-mean depth per query at 32 queries (16 data points, 16
+    Gaussian draws), by ``weighted.wm_depth`` point calls and by one
+    ``wm_depth_many`` batch, each run on a fresh cloud.  ``frame_kept``
+    says whether the cloud kept its support frame (up to n = 100 at the
+    default ``core.BATCH_BYTES``); where it does not, every point call
+    builds the whole frame again.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import re
 import subprocess
 import sys
-from typing import Callable
+from dataclasses import dataclass, field
+
+#: run before each layer's child; the child leaves its numbers in ``row``
+PRELUDE = """
+import json, sys, time
+import numpy as np
+n = int(sys.argv[1])
+sys.path.insert(0, sys.argv[2])
+rng = np.random.default_rng(n)
+
+def planar():
+    return rng.standard_normal((n, 2)) @ np.array([[2.0, 0.3], [0.0, 0.7]])
+
+def best(run):
+    times = []
+    while len(times) < 3 and sum(times) < 5.0:
+        start = time.perf_counter()
+        out = run()
+        times.append(time.perf_counter() - start)
+    return min(times), out
+"""
 
 
-def parse_args(doc: str, sizes: str, limit: float) -> argparse.Namespace:
-    """``--src``, ``--sizes`` and ``--limit`` with the tool's defaults."""
-    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
-    parser.add_argument("--src", default="src")
-    parser.add_argument("--sizes", default=sizes)
-    parser.add_argument("--limit", type=float, default=limit)
-    return parser.parse_args()
+@dataclass(frozen=True)
+class Layer:
+    """What one layer's measurement does not share with the others.
 
-
-def measure(args: argparse.Namespace, child: str,
-            row: Callable[[int, list[str]], dict], label: str = "",
-            **fields) -> tuple[dict[int, dict], list[int]]:
-    """Run ``child`` once per size, each in a fresh interpreter.
-
-    ``row(n, words)`` turns the words the child printed into the record of
-    size n (and may print it).  A child that takes longer than
-    ``args.limit`` seconds is reported and its size returned as skipped.
+    ``child`` runs after ``PRELUDE`` with ``n`` and ``rng`` (seeded with n)
+    and sets ``row``, one value for each of ``keys``.  ``fits`` names the
+    series other than times whose exponent is fitted too, and ``fields``
+    describe the measurement in the record.
     """
-    rows, skipped = {}, []
-    for n in map(int, args.sizes.split(",")):
-        code = child.format(src=args.src, n=n, **fields)
-        try:
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                  text=True, timeout=args.limit, check=True)
-        except subprocess.TimeoutExpired:
-            skipped.append(n)
-            print(f"{label}n={n}: skipped, over {args.limit:g} s")
-            continue
-        rows[n] = row(n, proc.stdout.split())
-    return rows, skipped
+
+    child: str
+    keys: tuple[str, ...]
+    sizes: str
+    limit: float
+    fits: tuple[str, ...] = ()
+    fields: dict = field(default_factory=dict)
+
+
+INDEX = """
+from depthkit import DataCloud, metric
+cloud = DataCloud(planar())
+build_s, index = best(lambda: metric.ProjectionIndex(cloud, 1000, 0))
+zs = rng.standard_normal((256, 2))
+query_s, _ = best(lambda: index.outlyingness(zs))
+row = (index.dirs.shape[0], build_s, query_s / len(zs))
+"""
+
+LP = """
+from depthkit import DataCloud, lp, weighted
+pivots = []
+
+def counting(*args, **kwargs):
+    res = lp.solve_lp(*args, **kwargs)
+    pivots.append(getattr(res, "pivots", None))
+    return res
+
+weighted.solve_lp = counting
+row = ()
+for d in (2, 3):
+    rng = np.random.default_rng(n * 10 + d)
+    cloud = DataCloud(rng.standard_normal((n, d)))
+    zs = np.vstack([cloud.points[:8], rng.standard_normal((8, d))])
+    pivots.clear()
+    lp_s, _ = best(lambda: [weighted.zonoid_depth(z, cloud) for z in zs])
+    steps = pivots[:len(zs)]
+    row += (lp_s / len(zs), None if None in steps else sum(steps) / len(steps))
+"""
+
+REGION = """
+import os, tempfile, tracemalloc
+from depthkit import DataCloud
+from depthkit.combinatorial import tukey_region_2d
+from depthkit.svg import ContourDocument, ContourLayer, export_region_json
+from depthkit.weighted import ECH_STAR, wm_region_2d
+pts = planar()
+cloud = DataCloud(pts)
+TUKEY, ECH = (0.1, 0.2, 0.3), (0.1, 0.5, 0.9)
+
+def ech_ladder():
+    fresh = DataCloud(pts)
+    return [wm_region_2d(fresh, ECH_STAR, a) for a in ECH]
+
+tukey_s, tukey = best(lambda: [tukey_region_2d(cloud, a) for a in TUKEY])
+ech_s, ech = best(ech_ladder)
+layers = tuple(ContourLayer(a, (r.vertices,)) for a, r in zip(TUKEY + ECH, tukey + ech)
+               if r.vertices.shape[0] > 2)
+doc = ContourDocument("scaling", layers, cloud.points)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "doc.json")
+    json_s, _ = best(lambda: export_region_json(doc, path))
+    json_bytes = os.path.getsize(path)
+tracemalloc.start()
+tukey_region_2d(cloud, 0.2)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+vertices = sum(layer.rings[0].shape[0] for layer in layers)
+row = (tukey_s / len(TUKEY), ech_s / len(ECH), json_s / len(layers), peak / 2**20,
+       vertices, json_bytes)
+"""
+
+SWEEP = """
+from depthkit import DataCloud, combinatorial
+cloud = DataCloud(planar())
+zs = rng.standard_normal((64, 2))
+lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+grid = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 32),
+                            np.linspace(lo[1], hi[1], 32)), -1).reshape(-1, 2)
+
+def line_halfspace():
+    for z in zs:
+        (_, fewest, _), = combinatorial._line_tables(z[None], cloud)
+        int(fewest.min()) / cloud.n
+
+def angular_halfspace():
+    for z in zs:
+        combinatorial.halfspace_depth_2d(z, cloud)
+
+def line_simplicial():
+    for _, _, k in combinatorial._line_tables(grid, cloud):
+        (k * (k - 1) // 2).sum(axis=1)
+
+def angular_simplicial():
+    combinatorial.simplicial_depth_many(grid, cloud)
+
+row = tuple(best(run)[0] / len(qs) for run, qs in (
+    (line_halfspace, zs), (angular_halfspace, zs),
+    (line_simplicial, grid), (angular_simplicial, grid)))
+"""
+
+TUKEY_OJA = """
+from depthkit import combinatorial, metric
+from depthkit.rng import unit_directions
+pts = planar() + [10.0, 5.0]
+qs = pts[rng.permutation(n)[:256]]
+dirs = unit_directions(2, 1000, 0)
+row = tuple(best(run)[0] / len(qs) for run in (
+    lambda: [combinatorial._signs_count(q, pts, dirs) for q in qs],
+    lambda: combinatorial._table_counts(qs, pts, dirs),
+    lambda: metric._oja_pair_sums(qs, pts),
+    lambda: metric._oja_angular_sums(qs, pts)))
+"""
+
+WM = """
+from depthkit import DataCloud
+from depthkit.weighted import ECH_STAR, wm_depth, wm_depth_many
+pts = planar()
+zs = np.vstack([pts[:16], rng.standard_normal((16, 2))])
+
+def point_calls():
+    fresh = DataCloud(pts)
+    for z in zs:
+        wm_depth(z, fresh, ECH_STAR)
+    return fresh
+
+point_s, fresh = best(point_calls)
+batch_s, _ = best(lambda: wm_depth_many(zs, DataCloud(pts), ECH_STAR))
+row = (point_s / len(zs), batch_s / len(zs), ("wm-frame",) in fresh._derived)
+"""
+
+
+def _per_query(*paths: str) -> tuple[str, ...]:
+    return tuple(f"{path}_s_per_query" for path in paths)
+
+
+LAYERS = {
+    "index": Layer(INDEX, ("directions", "build_s", "outlyingness_s_per_query"),
+                   "27,100,400,1600", 60.0),
+    "lp": Layer(LP, ("d2_lp_s", "d2_pivots", "d3_lp_s", "d3_pivots"),
+                "10,27,80,160,320", 60.0, fits=("d2_pivots", "d3_pivots"),
+                fields={"queries": 16}),
+    "region": Layer(REGION, ("tukey_region_s_per_level", "echstar_region_s_per_level",
+                             "json_s_per_layer", "tukey_peak_mb", "vertices", "json_bytes"),
+                    "27,80,160,400", 300.0),
+    "sweep": Layer(SWEEP, _per_query("line_halfspace", "angular_halfspace",
+                                     "line_simplicial", "angular_simplicial"),
+                   "27,80,400,1600", 120.0),
+    "tukey_oja": Layer(TUKEY_OJA, _per_query("dense_tukey", "sorted_tukey",
+                                             "pair_oja", "angular_oja"),
+                       "100,200,400,800,1600", 300.0,
+                       fields={"queries": "256 data points per cloud (all of them below n = 256)",
+                               "directions": 1000}),
+    "wm": Layer(WM, ("point_s_per_query", "batch_s_per_query", "frame_kept"),
+                "27,80,100,101,160", 300.0,
+                fields={"queries": "16 data points and 16 Gaussian draws per cloud",
+                        "scheme": "echstar"}),
+}
+
+#: a time series: ``<name>_s`` or ``<name>_s_per_<unit>``
+_TIME = re.compile(r"(.*)_s(_per_\w+)?$")
 
 
 def exponent(points: list[tuple[int, float]]) -> float | None:
@@ -55,3 +264,48 @@ def exponent(points: list[tuple[int, float]]) -> float | None:
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
             / sum((x - mx) ** 2 for x in xs))
+
+
+def _shown(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("layer", help=f"one of: {', '.join(LAYERS)}")
+    parser.add_argument("--src", default="src")
+    parser.add_argument("--sizes", help="comma-separated n (default: the layer's)")
+    parser.add_argument("--limit", type=float, help="seconds per size (default: the layer's)")
+    args = parser.parse_args()
+    if args.layer not in LAYERS:
+        sys.exit(f"unknown layer {args.layer!r}: choose one of {', '.join(LAYERS)}")
+    layer = LAYERS[args.layer]
+    limit = layer.limit if args.limit is None else args.limit
+    code = PRELUDE + layer.child + "print(json.dumps(row))\n"
+    rows, skipped = {}, []
+    for n in map(int, (args.sizes or layer.sizes).split(",")):
+        try:
+            proc = subprocess.run([sys.executable, "-c", code, str(n), args.src],
+                                  capture_output=True, text=True, timeout=limit)
+        except subprocess.TimeoutExpired:
+            skipped.append(n)
+            print(f"n={n}: skipped, over {limit:g} s")
+            continue
+        if proc.returncode:
+            sys.exit(f"n={n}: the {args.layer} child failed\n{proc.stderr}")
+        rows[n] = dict(zip(layer.keys, json.loads(proc.stdout.splitlines()[-1]),
+                           strict=True))
+        print(f"n={n}: " + ", ".join(f"{k} {_shown(v)}" for k, v in rows[n].items()))
+    record = {"layer": args.layer, **layer.fields, "sizes": rows,
+              "skipped_over_limit": skipped, "limit_s": limit}
+    for key in layer.keys:
+        timed = _TIME.match(key)
+        if timed or key in layer.fits:
+            record[f"{timed[1] if timed else key}_exp"] = exponent(
+                [(n, r[key]) for n, r in rows.items() if r[key] is not None])
+    print(json.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
