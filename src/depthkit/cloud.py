@@ -111,7 +111,7 @@ class DataCloud:
             raise DimensionMismatchError(
                 f"query point has dimension {q.shape[0]}, cloud has {self.d}"
             )
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("query point must be finite")
         return q
 

@@ -2,15 +2,19 @@
 and simplicial depth.
 
 Values are exact fractions of counts, so equal inputs give bitwise equal
-outputs.  Planar halfspace and simplicial depth are two reductions of one
-table: the data points' sides of the lines through the query and each data
-point.  It is read from one angular order of the data points about each
-query, in O(n log n) per query; a query where two directions from it come
-within rounding of one line is resolved by the full n x n table of those
-sides.  Tukey regions intersect the finitely many binding halfplanes;
-random Tukey depth counts the data's sides on seeded directions, for a
-batch from the data's projections sorted once; simplicial depth in d >= 3
-enumerates closed simplices.
+outputs.  Halfspace and simplicial depth are two reductions of one side
+count per dimension, and take one point or a batch of query rows alike.
+In the plane it is the data points' sides of the lines through the query
+and each data point, read from one angular order of the data points about
+each query, in O(n log n) per query: halfspace depth takes each query's
+fewest points in a closed halfplane through it, simplicial depth the
+triangles that miss it.  A query where two directions from it come within
+rounding of one line is resolved by the full n x n table of those sides,
+for both.  In d = 1 both reduce the data points strictly below and above
+the query, compared exactly.  Tukey regions intersect the finitely many
+binding halfplanes; random Tukey depth counts the data's sides on seeded
+directions, for a batch from the data's projections sorted once;
+simplicial depth in d >= 3 enumerates closed simplices.
 """
 
 from __future__ import annotations
@@ -44,13 +48,15 @@ _LINE_BLOCK_ENTRIES = 2**14
 #: than this in radians are a near-tie: farther apart, the sine between two
 #: directions and its rounding cannot meet the 1e-12 on-a-line rule
 _ANGLE_GAP = 1e-9
-#: bytes per (query, data point) entry of :func:`_angular_left`: the
+#: the near-tie rows of a query without one, and of one with one
+_NO_TIES, _ONE_TIE = np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
+#: bytes per (query, data point) entry of :func:`_angular_tables`: the
 #: temporaries take about 70, and chunks of this size ran fastest
 _ANGLE_ENTRY_BYTES = 320
 
 
 # ---------------------------------------------------------------------------
-# planar halfspace and simplicial depth: lines through the query
+# halfspace and simplicial depth: the data's sides of the query
 # ---------------------------------------------------------------------------
 
 
@@ -121,64 +127,54 @@ def _line_tables(qs: np.ndarray, cloud: DataCloud):
         yield slice(start, start + step), fewest, left
 
 
-def _half_turns(angle: np.ndarray) -> np.ndarray | None:
-    """For each far direction from one query, given by its angle in
-    [-pi, pi]: the far points strictly counter-clockwise of it within a
-    half-turn; or None at a near-tie (see :func:`_angular_order`).
-
-    The angles are sorted and doubled by a turn, so each antipode finds the
-    points within a half-turn of its own point by one ``searchsorted``; its
-    neighbours there, and the gaps of the doubled angles, are the cyclic
-    gaps between the directions and their antipodes.
-    """
-    m = angle.size
-    if m == 0:
-        return np.empty(0, dtype=np.int32)
-    order = np.argsort(angle)
-    angle = angle[order]
-    doubled = np.concatenate([angle, angle + 2.0 * np.pi])
-    antipode = angle + np.pi
-    pos = doubled.searchsorted(antipode)
-    if min((doubled[1:m + 1] - angle).min(), (doubled[pos] - antipode).min(),
-           (antipode - doubled[pos - 1]).min()) < _ANGLE_GAP:
-        return None
-    left = np.empty(m, dtype=np.int32)
-    left[order] = pos - np.arange(1, m + 1)
-    return left
-
-
 def _angular_order(rel: np.ndarray, tol: float):
-    """``left`` (m, n) and ``tie`` (m,) for the offsets ``rel`` (m, n, 2)
-    of the data points from m planar queries.
+    """``left`` (m, n), ``fewest`` (m,) and ``ties`` for the offsets
+    ``rel`` (m, n, 2) of the data points from m planar queries.
 
     A point is far when it lies beyond ``tol``.  ``left[a]`` counts the far
     points strictly counter-clockwise of a within a half-turn (0 when a is
     not far).  Each far direction is folded onto the upper half-turn, so
     that one sort of n angles orders the directions and their antipodes at
     once (AS 307): the points left of a are those after it on its own
-    half-turn and those before it on the other.  ``tie`` flags a query two
-    of whose directions or antipodes lie within ``_ANGLE_GAP`` of each
-    other; on the other queries no two far points are within rounding of
-    one line through the query, so ``left`` is the ``k`` of
-    :func:`_line_tables`.
+    half-turn and those before it on the other.  ``ties`` lists the queries
+    two of whose directions or antipodes lie within ``_ANGLE_GAP`` of each
+    other.  On the others no two far points are within rounding of one line
+    through the query, so ``left`` is the ``k`` of :func:`_line_tables`, and
+    ``fewest`` = min(left, right) over the far points, plus the points not
+    far, is the least of its ``fewest``.
     """
     m, n = rel.shape[:2]
     far = np.hypot(rel[..., 0], rel[..., 1]) > tol
     if m == 1:
-        # on a single row the 1-D form takes about half the time of the row
-        # gathers below
+        # one row takes half the time in 1-D: each antipode finds the points
+        # within a half-turn of its own in the far angles, sorted and doubled
+        # by a turn; the doubled angles' gaps and the antipodes' neighbours
+        # there are the cyclic gaps of the directions and their antipodes
+        angle = np.arctan2(rel[..., 1][far], rel[..., 0][far])
+        order = angle.argsort()
+        angle = angle[order]
+        f = angle.size
+        doubled = np.concatenate([angle, angle + 2.0 * np.pi])
+        antipode = angle + np.pi
+        pos = doubled.searchsorted(antipode)
         left = np.zeros((1, n), dtype=np.int32)
-        offsets = rel[far]
-        row = _half_turns(np.arctan2(offsets[:, 1], offsets[:, 0]))
-        if row is not None:
-            left[far] = row
-        return left, np.array([row is None])
+        gaps = np.concatenate([doubled[1:f + 1] - angle, doubled[pos] - antipode,
+                               antipode - doubled[pos - 1]])
+        if np.minimum.reduce(gaps, initial=np.inf) < _ANGLE_GAP:
+            return left, np.zeros(1, dtype=np.int64), _ONE_TIE
+        row = np.empty(f, dtype=np.int32)
+        row[order] = pos - np.arange(1, f + 1)
+        left[far] = row
+        fewest = np.minimum.reduce(np.minimum(row, f - 1 - row), initial=f, keepdims=True)
+        fewest += n - f
+        return left, fewest, _NO_TIES
     # points that are not far sort last, out of the way of the folded angles
     order, angle, lower = half_turn_order(rel[..., 0], rel[..., 1], last=~far)
-    n_far = _count(far)
-    lower &= np.arange(n) < n_far[:, None]
+    n_far = _count(far)[:, None]
+    beyond = np.arange(n) >= n_far
+    lower &= ~beyond
     n_lower = _count(lower)[:, None]
-    last = angle[np.arange(m), np.maximum(n_far - 1, 0)]
+    last = angle[np.arange(m), np.maximum(n_far[:, 0] - 1, 0)]
     tie = _count(np.diff(angle, axis=1) < _ANGLE_GAP) > 0
     tie |= angle[:, 0] + np.pi - last < _ANGLE_GAP
     # c = 2 (lower points before a) - (points before a)
@@ -186,30 +182,54 @@ def _angular_order(rel: np.ndarray, tol: float):
     c -= lower
     c *= 2
     c -= np.arange(n, dtype=np.int32)
-    ranked = np.where(lower, n_lower - 1 - c, (n_far[:, None] - n_lower) - 1 + c)
-    ranked[np.arange(n) >= n_far[:, None]] = 0
+    ranked = np.where(lower, n_lower - 1 - c, (n_far - n_lower) - 1 + c)
+    # min(left, right) in c's buffer, n where not far: fewest is n if no
+    # point is far, and below n_far otherwise
+    np.subtract(n_far - 1, ranked, out=c)
+    np.minimum(c, ranked, out=c)
+    c[beyond] = n
+    fewest = np.minimum(c.min(axis=1), n_far[:, 0]) + (n - n_far[:, 0])
+    ranked[beyond] = 0
     left = np.empty_like(ranked)
     left.put(order, ranked)
-    return left, tie
+    return left, fewest, np.flatnonzero(tie)
 
 
-def _angular_left(qs: np.ndarray, cloud: DataCloud):
-    """Per chunk of the planar queries ``qs``: its rows and the table ``k``
-    of :func:`_line_tables`, bitwise, from one angular order per query
-    (:func:`_angular_order`).  The rows with a near-tie are taken from
-    :func:`_line_tables`.  Queries go in chunks under ``core.BATCH_BYTES``.
+def _angular_tables(qs: np.ndarray, cloud: DataCloud):
+    """Per chunk of the planar queries ``qs``: its rows, each query's least
+    ``fewest`` and the table ``k`` of :func:`_line_tables`, bitwise, from
+    one angular order per query (:func:`_angular_order`).  The rows with a
+    near-tie are taken from :func:`_line_tables`.  Queries go in chunks
+    under ``core.BATCH_BYTES``.
     """
     pts, n = cloud.points, cloud.n
     tol = _BOUNDARY_REL_TOL * cloud.extent
     step = max(1, core.BATCH_BYTES // (_ANGLE_ENTRY_BYTES * n))
     for start in range(0, qs.shape[0], step):
         chunk = qs[start:start + step]
-        left, tie = _angular_order(pts - chunk[:, None], tol)
-        if tie.any():
-            ties = np.flatnonzero(tie)
-            for rows, _, k in _line_tables(chunk[ties], cloud):
+        left, fewest, ties = _angular_order(pts - chunk[:, None], tol)
+        if ties.size:
+            for rows, few, k in _line_tables(chunk[ties], cloud):
                 left[ties[rows]] = k
-        yield slice(start, start + step), left
+                fewest[ties[rows]] = few.min(axis=1)
+        yield slice(start, start + step), fewest, left
+
+
+def _queries(z, cloud: DataCloud):
+    """(query rows, batch): an (m, d) array is a batch of m rows, anything
+    else one point."""
+    if isinstance(z, np.ndarray) and z.ndim == 2:
+        return cloud.points_of(z), True
+    return cloud.point_of(z)[None], False
+
+
+def _sides_1d(qs: np.ndarray, cloud: DataCloud):
+    """The data points strictly below and strictly above each of the
+    queries ``qs`` (m, 1).  A 1-D side test compares two numbers, with no
+    rounding and no tolerance."""
+    values = np.sort(cloud.points[:, 0])
+    q = qs[:, 0]
+    return values.searchsorted(q, "left"), cloud.n - values.searchsorted(q, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -217,42 +237,35 @@ def _angular_left(qs: np.ndarray, cloud: DataCloud):
 # ---------------------------------------------------------------------------
 
 
-def halfspace_depth_1d(z: float, cloud: DataCloud) -> float:
-    """min(#{x <= z}, #{x >= z}) / n."""
+def halfspace_depth_1d(z, cloud: DataCloud):
+    """min(#{x <= z}, #{x >= z}) / n = (n - max(below, above)) / n: of one
+    point (a float), or of each row of an (m, 1) array (m depths)."""
     cloud.require_dim(1)
-    values = cloud.points[:, 0]
-    zf = float(cloud.point_of(z)[0])
-    le = int(np.count_nonzero(values <= zf))
-    ge = int(np.count_nonzero(values >= zf))
-    return min(le, ge) / cloud.n
+    qs, batch = _queries(z, cloud)
+    fewest = cloud.n - np.maximum(*_sides_1d(qs, cloud))
+    return fewest / cloud.n if batch else int(fewest[0]) / cloud.n
 
 
-def halfspace_depth_2d(z, cloud: DataCloud) -> float:
-    """Exact planar halfspace depth over the critical lines through z.
+def halfspace_depth_2d(z, cloud: DataCloud):
+    """Exact planar halfspace depth of one point (a float), or of each row
+    of an (m, 2) array (m depths).
 
     The count of points in the closed halfplane {x : <u, x - z> >= 0} is
     piecewise constant in the angle of u and changes only where the boundary
     line passes through a data point, so the minimum is attained just beside
-    such a line.  One sort of the directions from z gives, for each, the
-    points on either side of its line (:func:`_half_turns`); at a near-tie
-    the line table decides (:func:`_line_tables`).
+    such a line: the least ``fewest`` of :func:`_angular_tables`.
     """
     cloud.require_dim(2)
-    q = cloud.point_of(z)
-    rel = cloud.points - q
-    far = np.hypot(rel[:, 0], rel[:, 1]) > _BOUNDARY_REL_TOL * cloud.extent
-    left = _half_turns(np.arctan2(rel[far, 1], rel[far, 0]))
-    if left is None:
-        (_, fewest, _), = _line_tables(q[None], cloud)
-        return int(fewest.min()) / cloud.n
-    # min(left, right) beside each far point's line, plus the points at z
-    # (all n when no point is far)
-    m = left.size
-    return (int(np.minimum(left, m - 1 - left).min(initial=m)) + cloud.n - m) / cloud.n
+    qs, batch = _queries(z, cloud)
+    fewest = np.empty(qs.shape[0], dtype=np.int64)
+    for rows, few, _ in _angular_tables(qs, cloud):
+        fewest[rows] = few
+    return fewest / cloud.n if batch else int(fewest[0]) / cloud.n
 
 
-def halfspace_depth(z, cloud: DataCloud) -> float:
-    """Exact halfspace depth, d <= 2."""
+def halfspace_depth(z, cloud: DataCloud):
+    """Exact halfspace depth, d <= 2, of one point (a float) or of each row
+    of an (m, d) array (m depths)."""
     if cloud.d == 1:
         return halfspace_depth_1d(z, cloud)
     if cloud.d == 2:
@@ -585,34 +598,18 @@ def random_tukey_depth(z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIO
     (:func:`_signs_count`); a batch large enough reads them from the sorted
     projections (:func:`_table_counts`).
     """
-    batch = isinstance(z, np.ndarray) and z.ndim == 2
-    qs = cloud.points_of(z) if batch else cloud.point_of(z)[None]
+    qs, batch = _queries(z, cloud)
     dirs = unit_directions(cloud.d, options.budget, options.seed)
     if qs.shape[0] > 1 and qs.shape[0] * cloud.n >= _TABLE_MIN_ENTRIES:
         counts = _table_counts(qs, cloud.points, dirs)
     else:
         counts = np.array([_signs_count(q, cloud.points, dirs) for q in qs], dtype=np.int64)
-    if not batch:
-        return int(counts[0]) / cloud.n
-    return counts / cloud.n
+    return counts / cloud.n if batch else int(counts[0]) / cloud.n
 
 
 # ---------------------------------------------------------------------------
 # simplicial depth
 # ---------------------------------------------------------------------------
-
-
-def _segments_containing(qs: np.ndarray, cloud: DataCloud, total: int) -> np.ndarray:
-    values = cloud.points[:, 0]
-    tol = cloud.coord_tol
-
-    def block(q):
-        less = np.count_nonzero(values < q - tol, axis=1)
-        more = np.count_nonzero(values > q + tol, axis=1)
-        # a segment misses z exactly when both endpoints fall on one strict side
-        return total - less * (less - 1) // 2 - more * (more - 1) // 2
-
-    return in_chunks(block, qs, 3 * values.size)
 
 
 def _simplices_containing(q: np.ndarray, cloud: DataCloud) -> int:
@@ -646,7 +643,7 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     Exact for d <= 4: in d <= 2 it counts the simplices that miss each
     query, vectorised over the queries, in the plane from one angular order
     per query with near-ties resolved by the line table
-    (:func:`_angular_left`); beyond, it enumerates them, and raises when
+    (:func:`_angular_tables`); beyond, it enumerates them, and raises when
     C(n, d+1) exceeds the enumeration cap.
     """
     qs = cloud.points_of(zs)
@@ -658,10 +655,12 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     # only the enumeration in d >= 3 grows with the number of simplices
     total = math.comb(n, d + 1) if d <= 2 else enumeration_size(n, d + 1)
     if d == 1:
-        counts = _segments_containing(qs, cloud, total)
+        # a segment misses z exactly when both ends lie on one strict side
+        below, above = _sides_1d(qs, cloud)
+        counts = total - below * (below - 1) // 2 - above * (above - 1) // 2
     elif d == 2:
         counts = np.full(qs.shape[0], float(total))
-        for rows, k in _angular_left(qs, cloud):
+        for rows, _, k in _angular_tables(qs, cloud):
             # each triangle that misses a query, at its most clockwise vertex
             counts[rows] -= (k * (k - 1) // 2).sum(axis=1)
     else:

@@ -208,7 +208,7 @@ class ProjectionIndex:
         else:
             iu, ju = np.triu_indices(n, k=1)
             diffs = pts[iu] - pts[ju]
-            keep = np.linalg.norm(diffs, axis=1) > 1e-12
+            keep = np.linalg.norm(diffs, axis=1) > 1e-12 * cloud.extent
             # the coefficients come from one stream, row after row, in blocks
             # under core.BATCH_BYTES; each row's product is the one-row g @ pts
             rng = np.random.default_rng(seed)
@@ -221,8 +221,10 @@ class ProjectionIndex:
             raw = np.vstack([diffs[keep], combos])
             white = np.linalg.solve(scatter, raw.T).T
             norms = np.linalg.norm(white, axis=1)
-            good = norms > 1e-12
+            good = norms > 1e-12 * norms.max()
             dirs = white[good] / norms[good, None]
+        if not dirs.shape[0]:
+            raise ZeroMadError("no projection direction of the sample survives whitening")
         # the (directions, n) projections grow as n^3, so they are formed in
         # row chunks under core.BATCH_BYTES and sorted in place: the median
         # is the middle of a sorted row, the MAD the middle of its absolute
@@ -241,7 +243,7 @@ class ProjectionIndex:
             np.abs(s, out=s)
             s.sort(axis=1)
             mad[start:start + rows] = _sorted_middle(s)
-        if np.any(mad <= 1e-12 * max(1.0, top)):
+        if np.any(mad <= 1e-12 * top):
             raise ZeroMadError(
                 "a projection of the sample has zero median absolute deviation"
             )

@@ -176,6 +176,7 @@ register(DepthSpec(
     name="halfspace",
     variant="affine",
     point=lambda z, cloud, opts: combinatorial.halfspace_depth(z, cloud),
+    batch=lambda zs, cloud, opts: combinatorial.halfspace_depth(zs, cloud),
     region_fn=combinatorial.halfspace_region,
     functional_base=True,
 ))

@@ -11,7 +11,8 @@ alpha, which all three built-in schemes satisfy.
 Depth is sup{alpha : z in region(alpha)}.  In d <= 2, :func:`wm_depth`
 reads membership off the regions' support functions on a frame of critical
 directions and bisects on alpha, for every scheme; :func:`wm_depth_many`
-runs it for a batch that shares the frame and the supports.
+runs it for a batch that shares the frame and the supports.  Where the
+cloud keeps the frame and the supports, point calls share them too.
 :func:`zonoid_depth` solves zonoid depth as a linear program in any
 dimension; the registry's zonoid depth is that program.
 """
@@ -342,16 +343,41 @@ def _frame_of(cloud: DataCloud):
     floats each: 8.5 MB at n = 80, kept up to n = 100 at the default
     budget; 66 MB at n = 160.
     """
-    n = cloud.n
-    dirs = 2 if cloud.d == 1 else 2 * n * (n - 1)
-    if 8 * dirs * (n + 4) <= core.BATCH_BYTES:
+    if _frame_kept(cloud):
         return cloud.derived(("wm-frame",), _wm_support_frame)
     return _frame_blocks(cloud)
 
 
+def _frame_kept(cloud: DataCloud, extra: int = 0) -> bool:
+    """Whether the frame, with ``extra`` floats more per direction, fits
+    ``core.BATCH_BYTES``."""
+    n = cloud.n
+    dirs = 2 if cloud.d == 1 else 2 * n * (n - 1)
+    return 8 * dirs * (n + 4 + extra) <= core.BATCH_BYTES
+
+
+def _levels_of(cloud: DataCloud, scheme: WeightScheme) -> "_Levels":
+    """The supports that the queries of one scheme share.
+
+    Where the frame and one scheme's levels fit ``core.BATCH_BYTES``
+    together (up to n = 91 at the default), the cloud keeps the levels of
+    the scheme it served last, so that point calls share them as a batch
+    does; elsewhere each call makes its own.
+    """
+    if not _frame_kept(cloud, 2**_SHARED_STEPS):
+        return _Levels(scheme, cloud.n)
+    kept = cloud.derived(("wm-levels",), lambda c: {})
+    if scheme not in kept:
+        kept.clear()
+        kept[scheme] = _Levels(scheme, cloud.n)
+    return kept[scheme]
+
+
 class _Levels:
     """What the queries of one cloud and scheme share: per frame block, the
-    supports at the levels met so far."""
+    supports at the levels met so far.  Only level 1 and the midpoints of
+    the first ``_SHARED_STEPS`` bisection steps are kept: at most
+    2**_SHARED_STEPS floats per frame direction."""
 
     def __init__(self, scheme: WeightScheme, n: int):
         self.scheme, self.n = scheme, n
@@ -439,7 +465,7 @@ def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, _shared=None) -> float:
     """
     q = cloud.point_of(z)
     _require_planar(cloud)
-    blocks, levels = _shared or (_frame_of(cloud), _Levels(scheme, cloud.n))
+    blocks, levels = _shared or (_frame_of(cloud), _levels_of(cloud, scheme))
     depth, spanned = 1.0, False
     for b, (dirs, proj, top, margin) in enumerate(blocks):
         spanned = True
@@ -462,7 +488,7 @@ def wm_depth_many(zs, cloud: DataCloud, scheme: WeightScheme) -> np.ndarray:
     qs = cloud.points_of(zs)
     _require_planar(cloud)
     # a single query streams the frame rather than hold all of it
-    shared = (tuple(_frame_of(cloud)), _Levels(scheme, cloud.n)) if qs.shape[0] > 1 else None
+    shared = (tuple(_frame_of(cloud)), _levels_of(cloud, scheme)) if qs.shape[0] > 1 else None
     return np.array([wm_depth(q, cloud, scheme, shared) for q in qs], dtype=float)
 
 

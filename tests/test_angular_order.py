@@ -1,13 +1,14 @@
 """The angular order of planar halfspace and simplicial depth against the
 line table.
 
-``combinatorial._angular_left`` (the simplicial batch) and
-``halfspace_depth_2d`` read one angular order per query and take the rows
-with a near-tie from ``combinatorial._line_tables``.  The table ``k`` and
-both depths must equal the line table's bitwise: on Gaussian clouds shaped
-like the benchmark's, on eu27 and its region grid, on lattices with
-collinear triples and repeated points queried at vertices, edge midpoints
-and lattice points, and on clouds moved far from the origin or scaled down.
+``combinatorial._angular_tables``, which both depths read, takes one
+angular order per query and the rows with a near-tie from
+``combinatorial._line_tables``.  Its table ``k`` and its least ``fewest``,
+and both depths, as batches and as point calls, must equal the line
+table's bitwise: on Gaussian clouds shaped like the benchmark's, on eu27
+and its region grid, on lattices with collinear triples and repeated points
+queried at vertices, edge midpoints and lattice points, and on clouds moved
+far from the origin or scaled down.
 """
 
 import math
@@ -24,16 +25,19 @@ LINE_TABLES = combinatorial._line_tables
 
 def assert_matches_line_tables(cloud, qs):
     chunks = list(LINE_TABLES(qs, cloud))
-    fewest = np.concatenate([f for _, f, _ in chunks])
+    fewest = np.concatenate([f for _, f, _ in chunks]).min(axis=1)
     k = np.concatenate([k for _, _, k in chunks])
-    got = np.concatenate([left for _, left in combinatorial._angular_left(qs, cloud)])
-    np.testing.assert_array_equal(got, k)
+    got = list(combinatorial._angular_tables(qs, cloud))
+    np.testing.assert_array_equal(np.concatenate([left for _, _, left in got]), k)
+    np.testing.assert_array_equal(np.concatenate([least for _, least, _ in got]), fewest)
     # one query at a time takes the 1-D form of the angular order
-    for q, row in zip(qs, k):
-        (_, one), = combinatorial._angular_left(q[None], cloud)
+    for q, row, least in zip(qs, k, fewest):
+        (_, one_least, one), = combinatorial._angular_tables(q[None], cloud)
         np.testing.assert_array_equal(one[0], row)
-    halfspace = [halfspace_depth_2d(q, cloud) for q in qs]
-    assert halfspace == [int(row.min()) / cloud.n for row in fewest]
+        assert one_least.tolist() == [least]
+    halfspace = [int(least) / cloud.n for least in fewest]
+    assert [halfspace_depth_2d(q, cloud) for q in qs] == halfspace
+    assert halfspace_depth_2d(qs, cloud).tolist() == halfspace
     total = math.comb(cloud.n, 3)
     simplicial = np.full(qs.shape[0], float(total))
     simplicial -= (k * (k - 1) // 2).sum(axis=1)
@@ -73,9 +77,9 @@ def test_eu27_and_its_region_grid(eu_cloud, fallback_rows):
     assert qs.shape[0] == eu_cloud.n + regions.DEFAULT_GRID_RESOLUTION ** 2
     assert_matches_line_tables(eu_cloud, qs)
     # a grid is not generic, and a row may meet a near-tie: one row of this
-    # grid does, read as a batch, as a single row, by the simplicial batch
-    # and by a point call
-    assert len(fallback_rows) <= 4 * 2
+    # grid does, read five times: by the tables as a batch and as a single
+    # row, by the halfspace batch and point call and by the simplicial batch
+    assert len(set(fallback_rows)) <= 1 and len(fallback_rows) <= 5
 
 
 def lattice_case(seed):
@@ -114,7 +118,7 @@ def test_lattices_fall_back_exactly_on_collinear_rows(seed, transform, fallback_
     cloud = DataCloud(pts)
     assert_matches_line_tables(cloud, qs)
     fallback_rows.clear()
-    list(combinatorial._angular_left(qs, cloud))
+    list(combinatorial._angular_tables(qs, cloud))
     collinear = exactly_collinear(ints, doubled)
     assert fallback_rows == [tuple(q) for q in qs[collinear]]
 

@@ -436,3 +436,46 @@ def test_direction_set_is_the_stream_row_by_row(dim):
     got = unit_directions(dim, 300, 7)
     assert got.dtype == np.float64 and not got.flags.writeable
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_one_dimensional_depths_count_the_sides_exactly(scale, shift):
+    # in d = 1 both depths reduce the points strictly below and above the
+    # query, and a side test there compares two numbers: no tolerance, so
+    # the two agree on zero versus positive on, next to and outside the
+    # data, at any scale (a simplicial depth with a coordinate tolerance
+    # once counted queries 25 to 125 widths outside a tiny cloud as inside)
+    values = np.arange(5.0) * scale + shift
+    lo, hi = values.min(), values.max()
+    width = hi - lo
+    qs = np.concatenate([values, (values[1:] + values[:-1]) / 2.0, [
+        np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+        np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+        lo - 1e-10 * width, hi + 1e-10 * width, lo - 25.0 * width, hi + 125.0 * width]])
+    cloud = DataCloud(values)
+    below = np.count_nonzero(values < qs[:, None], axis=1)
+    above = np.count_nonzero(values > qs[:, None], axis=1)
+    halfspace = np.array([halfspace_depth(q, cloud) for q in qs])
+    simplicial = np.array([simplicial_depth(q, cloud) for q in qs])
+    np.testing.assert_array_equal(halfspace > 0.0, (qs >= lo) & (qs <= hi))
+    np.testing.assert_array_equal(simplicial > 0.0, halfspace > 0.0)
+    np.testing.assert_array_equal(halfspace, (5 - np.maximum(below, above)) / 5)
+    np.testing.assert_array_equal(
+        simplicial, (10 - below * (below - 1) // 2 - above * (above - 1) // 2) / 10)
+    # the batches' rows are the point calls, bitwise
+    assert halfspace_depth_1d(qs[:, None], cloud).tolist() == halfspace.tolist()
+    assert simplicial_depth_many(qs, cloud).tolist() == simplicial.tolist()
+
+
+def test_halfspace_depth_takes_a_point_or_a_batch():
+    cloud = make_cloud(7, 30)
+    qs = np.vstack([cloud.points[:5], np.random.default_rng(7).standard_normal((5, 2))])
+    batch = halfspace_depth(qs, cloud)
+    assert isinstance(batch, np.ndarray) and batch.shape == (10,)
+    points = [halfspace_depth(q, cloud) for q in qs]
+    assert all(type(value) is float for value in points)
+    assert batch.tolist() == points
+    assert halfspace_depth(qs[:0], cloud).shape == (0,)
+    with pytest.raises(DimensionMismatchError):
+        halfspace_depth(np.zeros((2, 3)), cloud)

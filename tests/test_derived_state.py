@@ -284,3 +284,26 @@ def test_weighted_mean_frame_is_built_once_per_batch(monkeypatch):
     weighted.wm_depth_many(cloud.points[:3], cloud, weighted.ECH_STAR)
     weighted.wm_depth(cloud.points[3], cloud, weighted.ECH_STAR)
     assert len(builds) == 3
+
+
+@pytest.mark.parametrize("scheme", [weighted.ECH_STAR, weighted.GEOMETRIC])
+def test_weighted_mean_point_calls_share_the_supports(monkeypatch, scheme):
+    # point calls on one cloud read the levels the cloud keeps beside its
+    # frame, as a batch does: each support over a whole frame block is
+    # formed once, and every value is the batch's, bitwise
+    pts = make_cloud(6, 27).points
+    zs = np.vstack([pts[:6], pts[:6] / 2.0 + 0.1])
+    batch = weighted.wm_depth_many(zs, DataCloud(pts), scheme)
+    cloud = DataCloud(pts)
+    blocks = {id(proj) for _, proj, _, _ in weighted._frame_of(cloud)}
+    formed = []
+    supports = weighted._supports
+
+    def recording(proj, w):
+        if id(proj) in blocks:
+            formed.append((id(proj), w.tobytes()))
+        return supports(proj, w)
+
+    monkeypatch.setattr(weighted, "_supports", recording)
+    assert [weighted.wm_depth(z, cloud, scheme) for z in zs] == batch.tolist()
+    assert formed and len(formed) == len(set(formed))

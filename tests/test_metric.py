@@ -103,6 +103,28 @@ def test_projection_zero_mad_raises():
         projection_depth([2.0], flat)
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-12])
+def test_projection_depth_is_free_of_the_scale(scale):
+    # the index's length and zero-MAD thresholds are relative to the cloud:
+    # scaled by 1e150, every direction once fell below an absolute 1e-12,
+    # and at 1e-12 the MAD guard's floor of 1 raised ZERO_MAD
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    base, scaled = DataCloud(pts), DataCloud(pts * scale)
+    expected = metric.projection_depth_many(pts, base)
+    got = metric.projection_depth_many(pts * scale, scaled)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
+    assert (metric.ProjectionIndex(scaled, 1000, 0).dirs.shape
+            == metric.ProjectionIndex(base, 1000, 0).dirs.shape)
+
+
+def test_projection_index_without_directions_is_a_coded_error():
+    # scaled by 1e200 the moment scatter overflows and whitening leaves no
+    # direction: a coded error, where an empty index once divided by zero
+    pts = np.random.default_rng(3).standard_normal((12, 2)) * 1e200
+    with np.errstate(all="ignore"), pytest.raises(ZeroMadError):
+        metric.projection_depth_many(pts, DataCloud(pts))
+
+
 def test_projection_seed_reproducible():
     # same seed is bitwise reproducible; the deterministic pair-difference
     # directions often dominate, so different seeds may legitimately agree

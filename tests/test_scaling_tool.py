@@ -24,9 +24,10 @@ LAYERS = {
                          "json_s_per_layer", "tukey_peak_mb", "vertices", "json_bytes"),
                ("tukey_region_exp", "echstar_region_exp", "json_exp")),
     "sweep": ("27,80", tuple(p + PER_QUERY for p in (
-        "line_halfspace", "angular_halfspace", "line_simplicial", "angular_simplicial")),
+        "line_halfspace", "angular_halfspace", "line_simplicial", "angular_simplicial",
+        "batch_halfspace")),
               ("line_halfspace_exp", "angular_halfspace_exp",
-               "line_simplicial_exp", "angular_simplicial_exp")),
+               "line_simplicial_exp", "angular_simplicial_exp", "batch_halfspace_exp")),
     "tukey_oja": ("27,80", tuple(p + PER_QUERY for p in (
         "dense_tukey", "sorted_tukey", "pair_oja", "angular_oja")),
                   ("dense_tukey_exp", "sorted_tukey_exp", "pair_oja_exp", "angular_oja_exp")),

@@ -36,7 +36,9 @@ The layers, with their default sizes and limit:
     planar halfspace depth per point call at 64 seeded queries and
     ``simplicial_depth_many`` per query over a 32 x 32 grid on the data box,
     from the angular order and from ``combinatorial._line_tables``, the
-    n x n table per query that it falls back to on near-ties.
+    n x n table per query that it falls back to on near-ties; and
+    ``halfspace_depth_2d`` per query as one batch over the grid, null for
+    a ``depthkit`` whose ``halfspace_depth_2d`` takes only points.
 ``tukey_oja`` (100,200,400,800,1600; 300 s)
     per query, at 256 of the data points (all of them below n = 256):
     random Tukey depth with 1000 directions from one sign table per query
@@ -166,6 +168,7 @@ row = (tukey_s / len(TUKEY), ech_s / len(ECH), json_s / len(layers), peak / 2**2
 
 SWEEP = """
 from depthkit import DataCloud, combinatorial
+from depthkit.errors import DimensionMismatchError
 cloud = DataCloud(planar())
 zs = rng.standard_normal((64, 2))
 lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
@@ -191,6 +194,10 @@ def angular_simplicial():
 row = tuple(best(run)[0] / len(qs) for run, qs in (
     (line_halfspace, zs), (angular_halfspace, zs),
     (line_simplicial, grid), (angular_simplicial, grid)))
+try:
+    row += (best(lambda: combinatorial.halfspace_depth_2d(grid, cloud))[0] / len(grid),)
+except DimensionMismatchError:
+    row += (None,)
 """
 
 TUKEY_OJA = """
@@ -238,7 +245,8 @@ LAYERS = {
                              "json_s_per_layer", "tukey_peak_mb", "vertices", "json_bytes"),
                     "27,80,160,400", 300.0),
     "sweep": Layer(SWEEP, _per_query("line_halfspace", "angular_halfspace",
-                                     "line_simplicial", "angular_simplicial"),
+                                     "line_simplicial", "angular_simplicial",
+                                     "batch_halfspace"),
                    "27,80,400,1600", 120.0),
     "tukey_oja": Layer(TUKEY_OJA, _per_query("dense_tukey", "sorted_tukey",
                                              "pair_oja", "angular_oja"),
