@@ -30,7 +30,7 @@ import numpy as np
 from . import datasets
 from .core import check_postulates
 from .dataio import Dataset, load_dataset, load_curves
-from .errors import DepthKitError, InvalidAlphaError
+from .errors import DepthKitError, InvalidAlphaError, InvalidTimeSetError
 from .functional import graph_depth, grid_depth
 from .registry import DEFAULT_OPTIONS, EvalOptions, available_depths, get_depth
 from .regions import (
@@ -106,6 +106,15 @@ def _alpha_list(text: str) -> list[float]:
     if not alphas:
         raise InvalidAlphaError("alpha list is empty")
     return alphas
+
+
+def _t_indices(text: str) -> list[float]:
+    """Grid positions as numbers; which of them are positions is for
+    ``grid_depth`` to decide, as it does for a library call."""
+    try:
+        return [float(c) for c in text.split(",") if c.strip()]
+    except ValueError:
+        raise InvalidTimeSetError(f"cannot parse grid positions {text!r}") from None
 
 
 def _options(args) -> EvalOptions:
@@ -193,7 +202,7 @@ def _cmd_fdepth(args) -> int:
     opts = _options(args)
     t_indices = None
     if args.t_indices:
-        t_indices = [int(c) for c in args.t_indices.split(",") if c.strip()]
+        t_indices = _t_indices(args.t_indices)
 
     depth = graph_depth if args.kind == "graph" else grid_depth
 

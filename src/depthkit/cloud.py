@@ -8,6 +8,7 @@ value once per cloud and hands it to every later query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, TypeVar
 
@@ -106,12 +107,13 @@ class DataCloud:
 
     def point_of(self, z) -> np.ndarray:
         """Validate a query point against this cloud's dimension."""
-        q = np.asarray(z, dtype=float).reshape(-1)
+        q = np.asarray(z, dtype=float).ravel()
         if q.shape[0] != self.d:
             raise DimensionMismatchError(
                 f"query point has dimension {q.shape[0]}, cloud has {self.d}"
             )
-        if not np.isfinite(q).all():
+        # one point's few coordinates test faster one by one than by numpy
+        if not all(map(math.isfinite, q.tolist())):
             raise ValueError("query point must be finite")
         return q
 
@@ -128,6 +130,12 @@ class DataCloud:
         if not np.isfinite(qs).all():
             raise ValueError("query points must be finite")
         return qs
+
+    def queries(self, z) -> tuple[np.ndarray, bool]:
+        """(rows, batch): an (m, d) array is a batch of m rows, else one point."""
+        if isinstance(z, np.ndarray) and z.ndim == 2:
+            return self.points_of(z), True
+        return self.point_of(z)[None], False
 
     def translated(self, b) -> "DataCloud":
         b = np.asarray(b, dtype=float).reshape(-1)

@@ -2,8 +2,9 @@
 and simplicial depth.
 
 Values are exact fractions of counts, so equal inputs give bitwise equal
-outputs.  Halfspace and simplicial depth are two reductions of one side
-count per dimension, and take one point or a batch of query rows alike.
+outputs.  Each depth takes one point (a float) or (m, d) query rows alike.
+Halfspace and simplicial depth are two reductions of one side count per
+dimension.
 In the plane it is the data points' sides of the lines through the query
 and each data point, read from one angular order of the data points about
 each query, in O(n log n) per query: halfspace depth takes each query's
@@ -27,7 +28,7 @@ import numpy as np
 from . import core
 from .cloud import DataCloud
 from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
-from .core import check_level, clamp_depths, enumeration_size, in_chunks
+from .core import check_level, clamp_depths, enumeration_size, in_chunks, point_or_rows
 from .errors import DimensionMismatchError
 from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull, half_turn_order
 from .lp import feasible
@@ -215,14 +216,6 @@ def _angular_tables(qs: np.ndarray, cloud: DataCloud):
         yield slice(start, start + step), fewest, left
 
 
-def _queries(z, cloud: DataCloud):
-    """(query rows, batch): an (m, d) array is a batch of m rows, anything
-    else one point."""
-    if isinstance(z, np.ndarray) and z.ndim == 2:
-        return cloud.points_of(z), True
-    return cloud.point_of(z)[None], False
-
-
 def _sides_1d(qs: np.ndarray, cloud: DataCloud):
     """The data points strictly below and strictly above each of the
     queries ``qs`` (m, 1).  A 1-D side test compares two numbers, with no
@@ -241,7 +234,7 @@ def halfspace_depth_1d(z, cloud: DataCloud):
     """min(#{x <= z}, #{x >= z}) / n = (n - max(below, above)) / n: of one
     point (a float), or of each row of an (m, 1) array (m depths)."""
     cloud.require_dim(1)
-    qs, batch = _queries(z, cloud)
+    qs, batch = cloud.queries(z)
     fewest = cloud.n - np.maximum(*_sides_1d(qs, cloud))
     return fewest / cloud.n if batch else int(fewest[0]) / cloud.n
 
@@ -256,7 +249,7 @@ def halfspace_depth_2d(z, cloud: DataCloud):
     such a line: the least ``fewest`` of :func:`_angular_tables`.
     """
     cloud.require_dim(2)
-    qs, batch = _queries(z, cloud)
+    qs, batch = cloud.queries(z)
     fewest = np.empty(qs.shape[0], dtype=np.int64)
     for rows, few, _ in _angular_tables(qs, cloud):
         fewest[rows] = few
@@ -598,7 +591,7 @@ def random_tukey_depth(z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIO
     (:func:`_signs_count`); a batch large enough reads them from the sorted
     projections (:func:`_table_counts`).
     """
-    qs, batch = _queries(z, cloud)
+    qs, batch = cloud.queries(z)
     dirs = unit_directions(cloud.d, options.budget, options.seed)
     if qs.shape[0] > 1 and qs.shape[0] * cloud.n >= _TABLE_MIN_ENTRIES:
         counts = _table_counts(qs, cloud.points, dirs)
@@ -668,6 +661,6 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     return clamp_depths(counts / total)
 
 
-def simplicial_depth(z, cloud: DataCloud) -> float:
-    """Simplicial depth of one point, as a batch of one."""
-    return float(simplicial_depth_many(cloud.point_of(z)[None], cloud)[0])
+def simplicial_depth(z, cloud: DataCloud):
+    """Simplicial depth of one point (a float), or of each row of an array."""
+    return point_or_rows(simplicial_depth_many, z, cloud)

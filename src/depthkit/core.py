@@ -43,7 +43,7 @@ def check_level(alpha) -> float:
 
 def clamp_depth(value: float) -> float:
     """Snap float noise at the ends of [0, 1]; reject genuine violations."""
-    if not np.isfinite(value) or value < -1e-9 or value > 1.0 + 1e-9:
+    if not math.isfinite(value) or value < -1e-9 or value > 1.0 + 1e-9:
         raise ValueError(f"depth value out of range: {value}")
     return min(max(float(value), 0.0), 1.0)
 
@@ -56,6 +56,14 @@ def clamp_depths(values: np.ndarray) -> np.ndarray:
         if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
             raise ValueError(f"depth values out of range: min {lo}, max {hi}")
     return np.minimum(np.maximum(values, 0.0), 1.0)
+
+
+def point_or_rows(kernel, z, cloud: DataCloud, *args):
+    """``kernel(rows, cloud, *args)`` on :meth:`DataCloud.queries` of ``z``:
+    a float for one point, m depths for (m, d) rows."""
+    qs, batch = cloud.queries(z)
+    depths = kernel(qs, cloud, *args)
+    return depths if batch else float(depths[0])
 
 
 def rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ plain or scatter-adjusted metric.  The scatter seam is
 divisor n) is the default and any affine-equivariant replacement plugs in.
 
 Each depth has one kernel, ``<depth>_many``, which validates a batch of
-queries and evaluates it in chunks under ``core.BATCH_BYTES``; the scalar
-form runs that kernel on a batch of one.
+query rows and evaluates it in chunks under ``core.BATCH_BYTES``; the
+depth's function runs it on one point (a float) or on (m, d) rows alike.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core
 from .cloud import DataCloud
-from .core import check_level, clamp_depths, enumeration_size, in_chunks, rows_times
+from .core import check_level, clamp_depths, enumeration_size, in_chunks, point_or_rows, rows_times
 from .errors import SingularScatterError, ZeroMadError
 from .geometry import ConvexRegion, half_turn_order
 from .rng import check_budget
@@ -88,9 +88,9 @@ def l2_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     return _mean_distance_depths(cloud.points_of(zs), cloud.points)
 
 
-def l2_depth(z, cloud: DataCloud) -> float:
-    """L2 depth of one point: :func:`l2_depth_many` on a batch of one."""
-    return float(l2_depth_many(cloud.point_of(z)[None], cloud)[0])
+def l2_depth(z, cloud: DataCloud):
+    """L2 depth of one point (a float), or of each row of an (m, d) array."""
+    return point_or_rows(l2_depth_many, z, cloud)
 
 
 def affine_invariant_l2_depth_many(zs, cloud: DataCloud,
@@ -102,9 +102,9 @@ def affine_invariant_l2_depth_many(zs, cloud: DataCloud,
     return _mean_distance_depths(rows_times(qs, white), rows_times(cloud.points, white))
 
 
-def affine_invariant_l2_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
-    """Affine-invariant L2 depth of one point, as a batch of one."""
-    return float(affine_invariant_l2_depth_many(cloud.point_of(z)[None], cloud, estimator)[0])
+def affine_invariant_l2_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
+    """Affine-invariant L2 depth of one point (a float), or of each row."""
+    return point_or_rows(affine_invariant_l2_depth_many, z, cloud, estimator)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +121,9 @@ def mahalanobis_depth_many(zs, cloud: DataCloud,
     return clamp_depths(1.0 / (1.0 + np.sum(w * w, axis=1)))
 
 
-def mahalanobis_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
-    """Mahalanobis depth of one point, as a batch of one."""
-    return float(mahalanobis_depth_many(cloud.point_of(z)[None], cloud, estimator)[0])
+def mahalanobis_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
+    """Mahalanobis depth of one point (a float), or of each row of an array."""
+    return point_or_rows(mahalanobis_depth_many, z, cloud, estimator)
 
 
 #: vertices of the polygon that stands for a planar Mahalanobis ellipse
@@ -298,10 +298,9 @@ def projection_depth_many(zs, cloud: DataCloud,
     return clamp_depths(1.0 / (1.0 + index.outlyingness(qs)))
 
 
-def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: int = 0) -> float:
-    """Projection depth of one point, as a batch of one."""
-    return float(projection_depth_many(cloud.point_of(z)[None], cloud,
-                                       direction_budget, seed)[0])
+def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: int = 0):
+    """Projection depth of one point (a float), or of each row of an array."""
+    return point_or_rows(projection_depth_many, z, cloud, direction_budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +414,6 @@ def oja_depth_many(zs, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -
     return clamp_depths(1.0 / (1.0 + _oja_expected_volumes(qs, cloud.points) / root_det))
 
 
-def oja_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> float:
-    """Oja depth of one point, as a batch of one."""
-    return float(oja_depth_many(cloud.point_of(z)[None], cloud, estimator)[0])
+def oja_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
+    """Oja depth of one point (a float), or of each row of an (m, d) array."""
+    return point_or_rows(oja_depth_many, z, cloud, estimator)

@@ -17,6 +17,7 @@ import numpy as np
 from .cloud import DataCloud
 from .core import check_level
 from .errors import (
+    DimensionMismatchError,
     EmptyRegionError,
     EnumerationTooLargeError,
     GridMismatchError,
@@ -321,6 +322,10 @@ def _check_comparable(a: DepthLift, b: DepthLift):
     if len(a.alphas) != len(b.alphas) or any(
             abs(x - y) > 1e-12 for x, y in zip(a.alphas, b.alphas)):
         raise GridMismatchError("lifts were built on different alpha grids")
+    # equal grids give equal slice counts, and a lift's slices share its dimension
+    if a.slices and a.slices[0].dim != b.slices[0].dim:
+        raise DimensionMismatchError(
+            f"lifts of clouds of dimension {a.slices[0].dim} and {b.slices[0].dim}")
 
 
 def _region_scale(region: ConvexRegion) -> float:

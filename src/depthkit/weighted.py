@@ -8,13 +8,13 @@ convex hull of the weighted means over all orderings of the sample.  Regions
 shrink as alpha grows whenever the prefix sums of the weights grow with
 alpha, which all three built-in schemes satisfy.
 
-Depth is sup{alpha : z in region(alpha)}.  In d <= 2, :func:`wm_depth`
-reads membership off the regions' support functions on a frame of critical
-directions and bisects on alpha, for every scheme; :func:`wm_depth_many`
-runs it for a batch that shares the frame and the supports.  Where the
-cloud keeps the frame and the supports, point calls share them too.
-:func:`zonoid_depth` solves zonoid depth as a linear program in any
-dimension; the registry's zonoid depth is that program.
+Depth is sup{alpha : z in region(alpha)}, of one point (a float) or of
+each row of an (m, d) array.  In d <= 2, :func:`wm_depth` reads membership
+off the regions' support functions on a frame of critical directions and
+bisects on alpha, for every scheme; the rows of a batch share the frame and
+the supports, and so do point calls where the cloud keeps them.
+:func:`zonoid_depth` solves zonoid depth as one linear program per row in
+any dimension; the registry's zonoid depth is that program.
 """
 
 from __future__ import annotations
@@ -449,23 +449,10 @@ def _require_planar(cloud: DataCloud) -> None:
         )
 
 
-def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, _shared=None) -> float:
-    """sup{alpha : z in region(alpha)}, in d <= 2.
-
-    Depth is the least over the support frame's directions u of
-    alpha_u(z) = sup{alpha : h_u(alpha) >= u.z}, h_u the support function
-    of the level-alpha region, which falls as alpha grows; it is bisected
-    to ``_ALPHA_TOL``.  The value is exact 0 outside the convex hull of the
-    data and exact 1 inside the level-1 region.  No polygon is built.  The
-    frame is worked through in blocks (see :func:`_frame_of`), and a depth
-    is the least of its blocks' depths: each direction holds on an initial
-    run of levels, so the bisection over all directions ends in the lowest
-    of the blocks' brackets.  ``_shared`` is the (frame blocks, levels)
-    pair of a :func:`wm_depth_many` batch.
-    """
-    q = cloud.point_of(z)
-    _require_planar(cloud)
-    blocks, levels = _shared or (_frame_of(cloud), _levels_of(cloud, scheme))
+def _query_depth(q: np.ndarray, cloud: DataCloud, blocks, levels: _Levels) -> float:
+    """The least of one query's depths in the frame's blocks: each direction
+    holds on an initial run of levels, so the bisection over all directions
+    ends in the lowest of the blocks' brackets."""
     depth, spanned = 1.0, False
     for b, (dirs, proj, top, margin) in enumerate(blocks):
         spanned = True
@@ -478,18 +465,31 @@ def wm_depth(z, cloud: DataCloud, scheme: WeightScheme, _shared=None) -> float:
     return clamp_depth(depth)
 
 
-def wm_depth_many(zs, cloud: DataCloud, scheme: WeightScheme) -> np.ndarray:
-    """:func:`wm_depth` of each row of ``zs``, bitwise equal to point calls.
+def wm_depth(z, cloud: DataCloud, scheme: WeightScheme):
+    """sup{alpha : z in region(alpha)}, in d <= 2, of one point (a float) or
+    of each row of an (m, d) array, bitwise the depth of the row alone.
 
-    The queries share one frame, built once for the batch and held for its
-    span when the cloud does not keep it (the whole frame: 66 MB at
-    n = 160), and the supports of the levels their bisections meet.
+    Depth is the least over the support frame's directions u of
+    alpha_u(z) = sup{alpha : h_u(alpha) >= u.z}, h_u the support function
+    of the level-alpha region, which falls as alpha grows; it is bisected
+    to ``_ALPHA_TOL``.  The value is exact 0 outside the convex hull of the
+    data and exact 1 inside the level-1 region.  No polygon is built.  The
+    rows share one frame, built once for the batch and held for its span
+    when the cloud does not keep it (the whole frame: 66 MB at n = 160),
+    and the supports of the levels their bisections meet.
     """
-    qs = cloud.points_of(zs)
+    qs, batch = cloud.queries(z)
     _require_planar(cloud)
     # a single query streams the frame rather than hold all of it
-    shared = (tuple(_frame_of(cloud)), _levels_of(cloud, scheme)) if qs.shape[0] > 1 else None
-    return np.array([wm_depth(q, cloud, scheme, shared) for q in qs], dtype=float)
+    blocks = tuple(_frame_of(cloud)) if qs.shape[0] > 1 else _frame_of(cloud)
+    levels = _levels_of(cloud, scheme)
+    depths = [_query_depth(q, cloud, blocks, levels) for q in qs]
+    return np.array(depths, dtype=float) if batch else depths[0]
+
+
+def wm_depth_many(zs, cloud: DataCloud, scheme: WeightScheme) -> np.ndarray:
+    """:func:`wm_depth` of each row of ``zs``."""
+    return wm_depth(cloud.points_of(zs), cloud, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -497,31 +497,38 @@ def wm_depth_many(zs, cloud: DataCloud, scheme: WeightScheme) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def zonoid_depth(z, cloud: DataCloud) -> float:
-    """Largest gamma representing gamma*z as a sub-uniform mixture of the data.
-
-    Solves  max gamma  s.t.  sum_i mu_i x_i = gamma z,  sum_i mu_i = gamma,
-    0 <= mu_i <= 1/n.  The optimum equals the zonoid depth; it is 0 exactly
-    when z lies outside the convex hull and 1 exactly at the mean.  Works in
-    any dimension.
-    """
-    q = cloud.point_of(z)
+def _zonoid_program(cloud: DataCloud):
+    """(center, span, c, A, upper) of the zonoid program, kept on the cloud:
+    the data centred and divided by their spans for conditioning (the depth
+    is affine invariant), with the query's column of A left at 0."""
     pts = cloud.points
     n, d = pts.shape
-    # normalize coordinates for conditioning; the depth is affine invariant
     center = pts.mean(axis=0)
     span = np.maximum(np.ptp(pts, axis=0), 1.0)
-    xn = (pts - center) / span
-    qn = (q - center) / span
     a = np.zeros((d + 1, n + 1))
-    a[:d, :n] = xn.T
-    a[:d, n] = -qn
+    a[:d, :n] = ((pts - center) / span).T
     a[d, :n] = 1.0
     a[d, n] = -1.0
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    upper = np.concatenate([np.full(n, 1.0 / n), [1.0]])
-    res = solve_lp(c, a, np.zeros(d + 1), upper)
-    if res.status != "optimal":  # pragma: no cover - the program is always feasible
-        raise RuntimeError(f"zonoid LP ended with status {res.status}")
-    return clamp_depth(res.value)
+    a.setflags(write=False)
+    return center, span, np.r_[np.zeros(n), 1.0], a, np.r_[np.full(n, 1.0 / n), 1.0]
+
+
+def zonoid_depth(z, cloud: DataCloud):
+    """Largest gamma representing gamma*z as a sub-uniform mixture of the
+    data, of one point (a float) or of each row of an (m, d) array.
+
+    Solves, one program per row,  max gamma  s.t.  sum_i mu_i x_i = gamma z,
+    sum_i mu_i = gamma,  0 <= mu_i <= 1/n.  The optimum equals the zonoid
+    depth; it is 0 exactly when z lies outside the convex hull and 1
+    exactly at the mean.  Works in any dimension.
+    """
+    qs, batch = cloud.queries(z)
+    center, span, c, program, upper = cloud.derived(("zonoid-program",), _zonoid_program)
+    a, depths = program.copy(), []
+    for qn in (qs - center) / span:
+        a[:-1, -1] = -qn
+        res = solve_lp(c, a, np.zeros(a.shape[0]), upper)
+        if res.status != "optimal":  # pragma: no cover - the program is always feasible
+            raise RuntimeError(f"zonoid LP ended with status {res.status}")
+        depths.append(clamp_depth(res.value))
+    return np.array(depths, dtype=float) if batch else depths[0]

@@ -250,6 +250,18 @@ def test_metric_translation_distance(tmp_path, capsys):
     assert rc == 0 and out.strip() == "0"
 
 
+def test_order_and_metric_refuse_clouds_of_different_dimension(tmp_path, capsys):
+    pts = centered(14, 8)
+    plane = write_csv(tmp_path, pts, "plane.csv")
+    line = write_csv(tmp_path, pts[:, :1], "line.csv")
+    for command in ("order", "metric"):
+        for first, second in ((plane, line), (line, plane)):
+            rc, out, err = run(capsys, command, "zonoid", "--data1", first,
+                               "--data2", second, "--alpha-list", "0.5,1.0")
+            assert rc == 2 and out == ""
+            assert err.startswith("error: DIMENSION_MISMATCH:")
+
+
 def test_order_refuses_unliftable_depth(tmp_path, capsys):
     pts = centered(13, 8)
     a = write_csv(tmp_path, pts, "a.csv")
@@ -297,14 +309,23 @@ def test_fdepth_grid_collapses_on_constant_curves(constant_curves, capsys):
 
 
 def test_fdepth_t_indices(constant_curves, capsys):
-    rc, out, _ = run(capsys, "fdepth", "graph", "--curves", constant_curves,
-                     "--t-indices", "0,2")
+    rc, first, _ = run(capsys, "fdepth", "graph", "--curves", constant_curves,
+                       "--t-indices", "0,2")
     assert rc == 0
-    assert len(out.strip().splitlines()) == 3
+    assert len(first.strip().splitlines()) == 3
     rc, out, err = run(capsys, "fdepth", "graph", "--curves", constant_curves,
                        "--t-indices", ",")
     assert rc == 2
     assert err.startswith("error: EMPTY_T:")
+    # a whole number written as a float is a position, as in grid_depth
+    rc, same, _ = run(capsys, "fdepth", "graph", "--curves", constant_curves,
+                      "--t-indices", "0.0, 2")
+    assert rc == 0 and same == first
+    for cells in ("1.5", "0,x", "nan", "inf"):
+        rc, out, err = run(capsys, "fdepth", "graph", "--curves", constant_curves,
+                           "--t-indices", cells)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: INVALID_T:"), (cells, err)
 
 
 def test_fdepth_inadmissible_base(constant_curves, capsys):

@@ -9,6 +9,7 @@ from depthkit.core import DataCloud
 from depthkit.metric import mahalanobis_region
 from depthkit.registry import EvalOptions
 from depthkit.errors import (
+    DimensionMismatchError,
     EmptyRegionError,
     GridMismatchError,
     InvalidAlphaError,
@@ -325,6 +326,21 @@ def test_order_requires_matching_lifts():
         depth_order_leq(a, c)
     with pytest.raises(GridMismatchError):
         depth_semimetric(a, c)
+
+
+def test_lifts_of_different_dimension_are_refused():
+    pts = centered_points(16, 8)
+    planar = depth_lift(DataCloud(pts), "zonoid", GRID)
+    line = depth_lift(DataCloud(pts[:, 0]), "zonoid", GRID)
+    for compare in (depth_order_leq, depth_semimetric):
+        for a, b in ((planar, line), (line, planar)):
+            with pytest.raises(DimensionMismatchError):
+                compare(a, b)
+    # an empty slice still carries its dimension
+    square = ConvexRegion.from_points(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(DimensionMismatchError):
+        depth_order_leq(DepthLift("x", (0.5,), (ConvexRegion.empty(1),)),
+                        DepthLift("x", (0.5,), (square,)))
 
 
 def test_order_empty_slice_rules():

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from depthkit.registry import available_depths
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "scaling.py"
 
 PER_QUERY = "_s_per_query"
+DEPTHS = tuple(name.replace("-", "_") for name in available_depths())
 LAYERS = {
     "index": ("27,100", ("directions", "build_s", "outlyingness_s_per_query"),
               ("build_exp", "outlyingness_exp")),
@@ -33,6 +36,9 @@ LAYERS = {
                   ("dense_tukey_exp", "sorted_tukey_exp", "pair_oja_exp", "angular_oja_exp")),
     "wm": ("27,80", ("point_s_per_query", "batch_s_per_query", "frame_kept"),
            ("point_exp", "batch_exp")),
+    "dispatch": ("10,27", tuple(f"{name}_{call}{PER_QUERY}" for name in DEPTHS
+                                for call in ("point", "batch")),
+                 tuple(f"{name}_{call}_exp" for name in DEPTHS for call in ("point", "batch"))),
 }
 
 

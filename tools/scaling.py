@@ -53,6 +53,12 @@ The layers, with their default sizes and limit:
     says whether the cloud kept its support frame (up to n = 100 at the
     default ``core.BATCH_BYTES``); where it does not, every point call
     builds the whole frame again.
+``dispatch`` (10,27,80; 300 s)
+    every registered depth per query at 32 queries (16 data points, 16
+    Gaussian draws), by ``DepthSpec.evaluate`` point calls and by one
+    ``evaluate_many`` batch, each run on a fresh cloud with the default
+    ``EvalOptions``; 10, 27 and 80 are the sizes of the benchmark's
+    post10, eu27 and g80 clouds.
 """
 
 from __future__ import annotations
@@ -230,6 +236,26 @@ batch_s, _ = best(lambda: wm_depth_many(zs, DataCloud(pts), ECH_STAR))
 row = (point_s / len(zs), batch_s / len(zs), ("wm-frame",) in fresh._derived)
 """
 
+#: the registered depths, in ``registry.available_depths()`` order
+DEPTHS = ("echstar", "geometric", "halfspace", "l2", "l2-affine", "mahalanobis",
+          "oja", "projection", "random-tukey", "simplicial", "zonoid")
+
+DISPATCH = f"DEPTHS = {DEPTHS!r}\n" + """
+from depthkit import DataCloud
+from depthkit.registry import get_depth
+pts = planar()
+zs = np.vstack([pts[:16], rng.standard_normal((16, 2))])
+row = ()
+for spec in map(get_depth, DEPTHS):
+    def point_calls():
+        fresh = DataCloud(pts)
+        for z in zs:
+            spec.evaluate(z, fresh)
+
+    row += tuple(best(run)[0] / len(zs) for run in (
+        point_calls, lambda: spec.evaluate_many(zs, DataCloud(pts))))
+"""
+
 
 def _per_query(*paths: str) -> tuple[str, ...]:
     return tuple(f"{path}_s_per_query" for path in paths)
@@ -257,6 +283,10 @@ LAYERS = {
                 "27,80,100,101,160", 300.0,
                 fields={"queries": "16 data points and 16 Gaussian draws per cloud",
                         "scheme": "echstar"}),
+    "dispatch": Layer(DISPATCH, _per_query(*(f"{name.replace('-', '_')}_{call}"
+                                             for name in DEPTHS for call in ("point", "batch"))),
+                      "10,27,80", 300.0,
+                      fields={"queries": "16 data points and 16 Gaussian draws per cloud"}),
 }
 
 #: a time series: ``<name>_s`` or ``<name>_s_per_<unit>``
