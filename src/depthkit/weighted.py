@@ -28,7 +28,7 @@ import numpy as np
 from . import core
 from .cloud import DataCloud
 from .core import check_level, clamp_depth, rows_times
-from .errors import DimensionMismatchError, InvalidAlphaError
+from .errors import DimensionMismatchError, EnumerationTooLargeError, InvalidAlphaError
 from .geometry import ConvexRegion
 from .lp import solve_lp
 
@@ -170,18 +170,32 @@ def wm_region_1d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> Convex
     return ConvexRegion.interval(lo, hi)
 
 
+#: the widest planar cloud whose pair differences have a finite squared norm
+_WIDEST = math.sqrt(float(np.finfo(float).max) / 2)
+
+
 def _shortest_pair(cloud: DataCloud) -> float:
     """Pairs of points no farther apart than this, 1e-12 times the larger
-    of 1 and the cloud's extent, give no direction."""
+    of 1 and the cloud's extent, give no direction.
+
+    The pairs' norms square their differences, so a planar cloud wider
+    than ``_WIDEST`` (about 9.5e153) is refused before they overflow.
+    """
+    if cloud.extent > _WIDEST:
+        raise EnumerationTooLargeError(
+            f"coordinates too large: the squared pair differences of the support "
+            f"frame overflow at extent {cloud.extent:.3g}"
+        )
     return 1e-12 * max(1.0, cloud.extent)
 
 
 def _pair_differences(cloud: DataCloud) -> np.ndarray:
     """Differences of the pairs of points longer than :func:`_shortest_pair`."""
+    shortest = _shortest_pair(cloud)
     pts = cloud.points
     iu, ju = np.triu_indices(cloud.n, k=1)
     diffs = pts[iu] - pts[ju]
-    return diffs[np.linalg.norm(diffs, axis=1) > _shortest_pair(cloud)]
+    return diffs[np.linalg.norm(diffs, axis=1) > shortest]
 
 
 #: critical directions per product and sort of the ordered samples

@@ -212,6 +212,25 @@ def test_depth_refuses_a_direction_budget_out_of_range(capsys, monkeypatch, name
     assert err.startswith(f"error: {code}:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["echstar", "geometric"])
+def test_weighted_mean_depth_refuses_a_frame_that_overflows(tmp_path, capsys, name):
+    # scaled by 1e200, the squared pair differences of the support frame
+    # overflow: every point once printed depth 1, with a RuntimeWarning
+    # (an error under this suite's warning filter)
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    big = write_csv(tmp_path, pts * 1e200, "big.csv")
+    rc, out, err = run(capsys, "depth", name, "--data", big, "--all")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: TOO_LARGE:") and "overflow" in err
+    assert err.count("\n") == 1
+    # at 1e150 the depths print as those of the unscaled cloud
+    rc, unscaled, _ = run(capsys, "depth", name, "--data", write_csv(tmp_path, pts), "--all")
+    assert rc == 0
+    rc, scaled, err = run(capsys, "depth", name, "--data",
+                          write_csv(tmp_path, pts * 1e150, "scaled.csv"), "--all")
+    assert rc == 0 and err == "" and scaled == unscaled
+
+
 # ---------------------------------------------------------------------------
 # order and metric
 # ---------------------------------------------------------------------------

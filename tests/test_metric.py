@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -188,6 +189,18 @@ def _projection_cloud(n, d, repeated):
     return DataCloud(pts)
 
 
+def _index_rows(dirs, med, mad):
+    """Each (direction, median, MAD) row of an index as bytes, in order."""
+    return [row.tobytes() for row in np.column_stack([dirs, med, mad])]
+
+
+def _in_folded_angular_order(dirs):
+    """Whether the planar directions, each turned to the upper half-plane,
+    run from angle 0 to pi."""
+    folded = np.where(dirs[:, 1:] < 0.0, -dirs, dirs)
+    return bool(np.all(np.diff(-folded[:, 0]) >= 0.0))
+
+
 def _bitwise(a, b):
     return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(
         np.signbit(a), np.signbit(b))
@@ -203,10 +216,14 @@ def test_projection_index_is_bitwise_the_median_loop(monkeypatch, n, d, repeated
         # builds of 7 directions, and combinations drawn 28 at a time
         monkeypatch.setattr(core, "BATCH_BYTES", 7 * 32 * n)
     index = ProjectionIndex(cloud, 1000, 4)
-    dirs, med, mad = _median_loop_index(cloud, 1000, 4)
-    assert _bitwise(index.dirs, dirs)
-    assert _bitwise(index.med, med)
-    assert _bitwise(index.mad, mad)
+    got = _index_rows(index.dirs, index.med, index.mad)
+    want = _index_rows(*_median_loop_index(cloud, 1000, 4))
+    if d == 2:
+        # the plane's index holds the same rows in folded angular order
+        assert sorted(got) == sorted(want)
+        assert _in_folded_angular_order(index.dirs)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("batch_bytes", [None, 3 * 8 * 30], ids=["default", "chunked"])
@@ -220,9 +237,12 @@ def test_projection_combinations_are_one_stream(monkeypatch, batch_bytes):
     large = ProjectionIndex(cloud, 50, 2)
     pairs = small.dirs.shape[0] - 7
     assert pairs == large.dirs.shape[0] - 50 == 30 * 29 // 2
-    assert _bitwise(large.dirs[:pairs + 7], small.dirs)
-    assert _bitwise(large.med[:pairs + 7], small.med)
-    assert _bitwise(large.mad[:pairs + 7], small.mad)
+    # the plane's index orders its rows by angle: every row of budget 7 is
+    # a row of budget 50, bitwise, and 43 rows are new
+    few = Counter(_index_rows(small.dirs, small.med, small.mad))
+    more = Counter(_index_rows(large.dirs, large.med, large.mad))
+    assert not few - more
+    assert sum((more - few).values()) == 43
 
 
 def test_projection_index_is_read_only_and_outlyingness_chunk_free(monkeypatch):

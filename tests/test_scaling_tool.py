@@ -19,8 +19,9 @@ TOOL = ROOT / "tools" / "scaling.py"
 PER_QUERY = "_s_per_query"
 DEPTHS = tuple(name.replace("-", "_") for name in available_depths())
 LAYERS = {
-    "index": ("27,100", ("directions", "build_s", "outlyingness_s_per_query"),
-              ("build_exp", "outlyingness_exp")),
+    "index": ("27,100", ("directions", "build_s", "outlyingness_s_per_query",
+                        "grid_s_per_query", "point_s_per_query", "grid_read"),
+              ("build_exp", "outlyingness_exp", "grid_exp", "point_exp")),
     "lp": ("10,27", ("d2_lp_s", "d2_pivots", "d3_lp_s", "d3_pivots"),
            ("d2_lp_exp", "d2_pivots_exp", "d3_lp_exp", "d3_pivots_exp")),
     "region": ("27,80", ("tukey_region_s_per_level", "echstar_region_s_per_level",

@@ -11,6 +11,7 @@ within rounding of it; every depth must be bitwise the dense kernel's
 point loop bitwise.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -275,14 +276,133 @@ def test_oja_working_set_stays_within_the_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def full_scan(index, qs):
+    """The outlyingness of each query from all m directions at once."""
+    whole = core.rows_times(qs, index.dirs)
+    whole -= index.med
+    np.abs(whole, out=whole)
+    whole /= index.mad
+    return whole.max(axis=1)
+
+
 @pytest.mark.parametrize("entries", [7, 64, 2**15])
 def test_outlyingness_blocks_do_not_change_it(monkeypatch, entries):
     cloud = make_cloud(10, 40)
     index = metric.ProjectionIndex(cloud, 200, 1)
     qs = np.vstack([cloud.points, np.random.default_rng(10).standard_normal((25, 2))])
-    whole = core.rows_times(qs, index.dirs)
-    whole -= index.med
-    np.abs(whole, out=whole)
-    whole /= index.mad
+    whole = full_scan(index, qs)
     monkeypatch.setattr(metric, "_OUT_BLOCK_ENTRIES", entries)
-    assert index.outlyingness(qs).tobytes() == whole.max(axis=1).tobytes()
+    assert index.outlyingness(qs).tobytes() == whole.tobytes()
+
+
+def scanned_entries(monkeypatch):
+    """A list that collects the (queries x directions) entries of every
+    scan that ``ProjectionIndex.outlyingness`` makes."""
+    entries = []
+    scan = metric.ProjectionIndex._scan
+
+    def counted(self, zs, block, count):
+        entries.append(zs.shape[0] * min(count * self.size, self.dirs.shape[0]))
+        return scan(self, zs, block, count)
+
+    monkeypatch.setattr(metric.ProjectionIndex, "_scan", counted)
+    return entries
+
+
+def far_queries(cloud, rng):
+    """Data points, a grid over the data box padded by half its width, and
+    queries 10**k extents from the box's centre for k = 0..11, in 12
+    directions each."""
+    lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+    pad = (hi - lo) / 2
+    axes = [np.linspace(a - p, b + p, 12) for a, b, p in zip(lo, hi, pad)]
+    grid = np.stack(np.meshgrid(*axes), -1).reshape(-1, 2)
+    turn = rng.uniform(0.0, 2.0 * np.pi, 12)
+    ring = np.column_stack([np.cos(turn), np.sin(turn)])
+    far = [(lo + hi) / 2 + 10.0**k * cloud.extent * ring for k in range(12)]
+    return np.vstack([cloud.points, grid, *far])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6], ids=["centred", "shifted"])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e150, 1e153])
+def test_pruned_outlyingness_is_the_full_scan_at_any_scale(monkeypatch, scale, shift):
+    # the block bounds take no square and scale their slack with the
+    # coordinates, so they hold, and stay finite, at every scale; 30 points
+    # keep the moment scatter finite at 1e153.  The shift is 1e6 extents.
+    rng = np.random.default_rng(31)
+    pts = rng.standard_normal((30, 2)) @ np.array([[2.0, 0.3], [0.0, 0.7]])
+    cloud = DataCloud((pts + shift) * scale)
+    index = metric.ProjectionIndex(cloud, 1000, 0)
+    qs = far_queries(cloud, rng)
+    entries = scanned_entries(monkeypatch)
+    got = index.outlyingness(qs)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == full_scan(index, qs).tobytes()
+    # the filter left blocks out
+    assert sum(entries) < qs.shape[0] * index.dirs.shape[0]
+
+
+@pytest.mark.parametrize("entries", [1, 64, 2**12, 2**15, 2**22])
+def test_pruned_outlyingness_on_a_lattice_of_tied_directions(monkeypatch, entries):
+    # a symmetric 7 x 7 lattice: many pairs share one difference, so whole
+    # runs of directions tie, and so do medians and MADs
+    axis = np.arange(-3.0, 4.0)
+    pts = np.stack(np.meshgrid(axis, axis), -1).reshape(-1, 2)
+    cloud = DataCloud(pts)
+    index = metric.ProjectionIndex(cloud, 200, 2)
+    assert np.unique(index.dirs, axis=0).shape[0] < index.dirs.shape[0] // 2
+    qs = np.vstack([pts, pts + 0.5, far_queries(cloud, np.random.default_rng(32))])
+    monkeypatch.setattr(metric, "_OUT_BLOCK_ENTRIES", entries)
+    assert index.outlyingness(qs).tobytes() == full_scan(index, qs).tobytes()
+
+
+def test_planar_index_blocks_bound_their_directions():
+    cloud = DataCloud(benchmark_gaussian(33, 80))
+    index = metric.ProjectionIndex(cloud, 1000, 0)
+    m = index.dirs.shape[0]
+    assert index.size == math.isqrt(m - 1) + 1
+    assert index.mean.shape == (-(-m // index.size), 2)
+    for arr in (index.mean, index.radius, index.low, index.high, index.scale):
+        assert not arr.flags.writeable
+    # each block's radius holds its folded directions, and its least MAD
+    # scales its bound
+    for b in range(index.mean.shape[0]):
+        cols = slice(b * index.size, (b + 1) * index.size)
+        u = index.dirs[cols]
+        v = np.where(u[:, 1:] < 0.0, -u, u)
+        assert np.abs(v - index.mean[b]).sum(axis=1).max() <= index.radius[b]
+        assert index.scale[b] * index.mad[cols].min() >= 1.0
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_index_off_the_plane_is_one_block(d):
+    cloud = make_cloud(34, 20, d)
+    index = metric.ProjectionIndex(cloud, 100, 0)
+    assert index.size == index.dirs.shape[0]
+    qs = np.random.default_rng(34).standard_normal((300, d)) * 3.0
+    assert index.outlyingness(qs).tobytes() == full_scan(index, qs).tobytes()
+
+
+def test_eu27_grid_outlyingness_stays_within_a_few_buffers(monkeypatch, eu_cloud):
+    # the regions benchmark's projection ladder: 65,536 cells of the padded
+    # box, 1351 directions in 37 blocks
+    index = metric.ProjectionIndex(eu_cloud, 1000, 0)
+    lo, hi = eu_cloud.points.min(axis=0), eu_cloud.points.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    axes = [np.linspace(a - p, b + p, 256) for a, b, p in zip(lo, hi, pad)]
+    qs = np.stack(np.meshgrid(*axes), -1).reshape(-1, 2)
+    index.outlyingness(qs[:2000])
+    tracemalloc.start()
+    try:
+        got = index.outlyingness(qs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffer = 8 * metric._OUT_BLOCK_ENTRIES
+    assert peak <= got.nbytes + 5 * buffer
+    entries = scanned_entries(monkeypatch)
+    assert got.tobytes() == index.outlyingness(qs).tobytes()
+    assert got.tobytes() == np.concatenate(
+        [full_scan(index, qs[i:i + 4096]) for i in range(0, qs.shape[0], 4096)]).tobytes()
+    # under a fifth of the (query, direction) entries are read
+    assert sum(entries) < 0.2 * qs.shape[0] * index.dirs.shape[0]

@@ -18,8 +18,13 @@ The layers, with their default sizes and limit:
 
 ``index`` (27,100,400,1600; 60 s)
     the build of one ``metric.ProjectionIndex`` (budget 1000, seed 0) on a
-    planar Gaussian cloud, and ``outlyingness`` per query over 256 seeded
-    queries.
+    planar Gaussian cloud, and ``outlyingness`` per query: over 256 seeded
+    queries, over a 64 x 64 grid on the data box padded by 10 % on each
+    side, and in one call per query for the 256.  The child asserts that
+    each result is bitwise the scan of every direction (on every 8th grid
+    cell), and reports ``grid_read``, the share of the grid's (query,
+    direction) entries that the block filter read (null for an index
+    without block scans).
 ``lp`` (10,27,80,160,320; 60 s)
     ``weighted.zonoid_depth`` per linear program at 16 queries (8 data
     points, 8 Gaussian draws) on Gaussian clouds in d = 2 and d = 3, and
@@ -111,12 +116,46 @@ class Layer:
 
 
 INDEX = """
-from depthkit import DataCloud, metric
+from depthkit import DataCloud, core, metric
 cloud = DataCloud(planar())
 build_s, index = best(lambda: metric.ProjectionIndex(cloud, 1000, 0))
 zs = rng.standard_normal((256, 2))
-query_s, _ = best(lambda: index.outlyingness(zs))
-row = (index.dirs.shape[0], build_s, query_s / len(zs))
+lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+grid = np.stack(np.meshgrid(*(np.linspace(a - 0.1 * (b - a), b + 0.1 * (b - a), 64)
+                              for a, b in zip(lo, hi))), -1).reshape(-1, 2)
+query_s, out = best(lambda: index.outlyingness(zs))
+grid_s, field = best(lambda: index.outlyingness(grid))
+point_s, points = best(lambda: [index.outlyingness(z[None]) for z in zs])
+
+def full_scan(qs):
+    whole = core.rows_times(qs, index.dirs)
+    whole -= index.med
+    np.abs(whole, out=whole)
+    whole /= index.mad
+    return whole.max(axis=1)
+
+# bitwise the scan of every direction: the queries, every 8th grid cell,
+# and each point call
+step = max(1, core.BATCH_BYTES // (16 * index.dirs.shape[0]))
+for got, qs in ((out, zs), (field[::8], grid[::8])):
+    want = np.concatenate([full_scan(qs[i:i + step]) for i in range(0, len(qs), step)])
+    assert got.tobytes() == want.tobytes()
+assert np.concatenate(points).tobytes() == out.tobytes()
+# the share of the grid's (query, direction) entries read, null for an
+# index without block scans
+read = None
+if hasattr(metric.ProjectionIndex, "_scan"):
+    entries, scan = [], metric.ProjectionIndex._scan
+
+    def counted(self, qs, block, count):
+        entries.append(qs.shape[0] * min(count * self.size, self.dirs.shape[0]))
+        return scan(self, qs, block, count)
+
+    metric.ProjectionIndex._scan = counted
+    index.outlyingness(grid)
+    read = sum(entries) / (len(grid) * index.dirs.shape[0])
+row = (index.dirs.shape[0], build_s, query_s / len(zs), grid_s / len(grid),
+       point_s / len(zs), read)
 """
 
 LP = """
@@ -262,7 +301,8 @@ def _per_query(*paths: str) -> tuple[str, ...]:
 
 
 LAYERS = {
-    "index": Layer(INDEX, ("directions", "build_s", "outlyingness_s_per_query"),
+    "index": Layer(INDEX, ("directions", "build_s", "outlyingness_s_per_query",
+                           "grid_s_per_query", "point_s_per_query", "grid_read"),
                    "27,100,400,1600", 60.0),
     "lp": Layer(LP, ("d2_lp_s", "d2_pivots", "d3_lp_s", "d3_pivots"),
                 "10,27,80,160,320", 60.0, fits=("d2_pivots", "d3_pivots"),
