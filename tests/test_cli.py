@@ -231,6 +231,46 @@ def test_weighted_mean_depth_refuses_a_frame_that_overflows(tmp_path, capsys, na
     assert rc == 0 and err == "" and scaled == unscaled
 
 
+@pytest.mark.parametrize("name", ["mahalanobis", "oja", "l2-affine", "projection"])
+def test_scatter_depth_refuses_a_moment_scatter_that_overflows(tmp_path, capsys, name):
+    # scaled by 1e200, the moment scatter's squares overflow: the first three
+    # once warned of an overflow in matmul and exited SINGULAR_SCATTER, and
+    # projection exited ZERO_MAD ("no projection direction ... survives")
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    big = write_csv(tmp_path, pts * 1e200, "big.csv")
+    rc, out, err = run(capsys, "depth", name, "--data", big, "--all")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: TOO_LARGE:") and "scatter overflows" in err
+    assert err.count("\n") == 1
+    # the depths are affine invariant: at 1e150 they print as unscaled
+    rc, unscaled, _ = run(capsys, "depth", name, "--data", write_csv(tmp_path, pts), "--all")
+    assert rc == 0
+    rc, scaled, err = run(capsys, "depth", name, "--data",
+                          write_csv(tmp_path, pts * 1e150, "scaled.csv"), "--all")
+    assert rc == 0 and err == "" and scaled == unscaled
+
+
+def test_l2_depth_refuses_distances_that_overflow(tmp_path, capsys):
+    # scaled by 1e200, the squared differences overflow: every point once
+    # printed depth 0 after a RuntimeWarning and exited 0
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    big = write_csv(tmp_path, pts * 1e200, "big.csv")
+    rc, out, err = run(capsys, "depth", "l2", "--data", big, "--all")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: TOO_LARGE:") and "overflow" in err
+    assert err.count("\n") == 1
+    # L2 depth is not scale invariant, but at 1e150 it is 1 / (1 + 1e150 *
+    # the unscaled mean distance), so it keeps the unscaled order
+    rc, unscaled, _ = run(capsys, "depth", "l2", "--data", write_csv(tmp_path, pts), "--all")
+    assert rc == 0
+    rc, scaled, err = run(capsys, "depth", "l2", "--data",
+                          write_csv(tmp_path, pts * 1e150, "scaled.csv"), "--all")
+    assert rc == 0 and err == ""
+    plain = np.array([float(line.split(",")[1]) for line in unscaled.splitlines()])
+    tiny = np.array([float(line.split(",")[1]) for line in scaled.splitlines()])
+    np.testing.assert_allclose(tiny, 1e-150 / (1.0 / plain - 1.0), rtol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # order and metric
 # ---------------------------------------------------------------------------

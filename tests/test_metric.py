@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_cloud
 from depthkit import DataCloud, core, metric
@@ -119,11 +121,15 @@ def test_projection_depth_is_free_of_the_scale(scale):
 
 
 def test_projection_index_without_directions_is_a_coded_error():
-    # scaled by 1e200 the moment scatter overflows and whitening leaves no
-    # direction: a coded error, where an empty index once divided by zero
-    pts = np.random.default_rng(3).standard_normal((12, 2)) * 1e200
-    with np.errstate(all="ignore"), pytest.raises(ZeroMadError):
-        metric.projection_depth_many(pts, DataCloud(pts))
+    # scaled by 1e-155 the moment scatter is subnormal and the whitened
+    # directions' norms overflow, so none is kept: a coded error, where an
+    # empty index once divided by zero.  Scaled by 1e200 the scatter itself
+    # overflows, and that is refused first, as too large
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    with np.errstate(all="ignore"), pytest.raises(ZeroMadError, match="survives whitening"):
+        metric.projection_depth_many(pts * 1e-155, DataCloud(pts * 1e-155))
+    with pytest.raises(EnumerationTooLargeError, match="scatter overflows"):
+        metric.projection_depth_many(pts * 1e200, DataCloud(pts * 1e200))
 
 
 def test_projection_seed_reproducible():
@@ -243,6 +249,59 @@ def test_projection_combinations_are_one_stream(monkeypatch, batch_bytes):
     more = Counter(_index_rows(large.dirs, large.med, large.mad))
     assert not few - more
     assert sum((more - few).values()) == 43
+
+
+#: magnitudes from 1e-300 to 1e300, either sign
+_WIDE = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+                  st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99), st.integers(-300, 299))
+
+
+@st.composite
+def _mad_row(draw, n):
+    """n floats of one kind: small integers (long tie runs), a few units in
+    the last place about a value far from 0 (where s[lo] + s[hi] rounds more
+    coarsely than either deviation), one value repeated, a tie run across
+    the middle, wide magnitudes, wide values in +- pairs about a small
+    offset, or signed zeros and subnormals."""
+    kind = draw(st.sampled_from(["ties", "ulps", "equal", "middle run", "wide", "mirrored",
+                                 "zeros"]))
+    if kind in ("ties", "ulps"):
+        steps = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        base = 0.0 if kind == "ties" else draw(st.sampled_from([1.0, 3.0, 2.0**53, 1e17]))
+        return [base + k * (1.0 if kind == "ties" else float(np.spacing(base))) for k in steps]
+    if kind == "equal":
+        return [draw(st.one_of(st.floats(-1e3, 1e3), _WIDE))] * n
+    if kind == "middle run":
+        row = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+        start = draw(st.integers(0, n // 2))
+        stop = draw(st.integers(n // 2 + 1, n))
+        row[start:stop] = [row[n // 2]] * (stop - start)
+        return row
+    if kind == "wide":
+        return draw(st.lists(_WIDE, min_size=n, max_size=n))
+    if kind == "mirrored":
+        half = draw(st.lists(_WIDE, min_size=n // 2, max_size=n // 2))
+        offset = draw(st.sampled_from([0.0, 1.0, -1.0, 1e-300, 3.0]))
+        return [offset + v for v in half] + [offset - v for v in half] + [offset] * (n % 2)
+    return draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                         min_size=n, max_size=n))
+
+
+@st.composite
+def _sorted_rows(draw):
+    n = draw(st.integers(1, 61))
+    rows = draw(st.lists(_mad_row(n), min_size=1, max_size=4))
+    return np.sort(np.array(rows, dtype=float), axis=1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sorted_rows())
+def test_sorted_mad_is_the_middle_of_the_sorted_deviations(s):
+    # the bisection reads the sorted row alone, yet must give the very float
+    # that sorting the |deviations| again and taking their middle gives
+    med = metric._sorted_middle(s)
+    want = metric._sorted_middle(np.sort(np.abs(s - med[:, None]), axis=1))
+    assert metric._sorted_mad(s, med).tobytes() == want.tobytes()
 
 
 def test_projection_index_is_read_only_and_outlyingness_chunk_free(monkeypatch):

@@ -356,6 +356,31 @@ def test_pruned_outlyingness_on_a_lattice_of_tied_directions(monkeypatch, entrie
     assert index.outlyingness(qs).tobytes() == full_scan(index, qs).tobytes()
 
 
+def test_small_batches_scan_every_direction_once(monkeypatch, eu_cloud):
+    # depth --all on eu27 (27 x 1351 entries) and on a g80 cloud (80 x 4160)
+    # cost less as a full scan than as the filter's loop over up to twice
+    # their 37 and 64 blocks; a point call on a 400-point cloud (80,800
+    # directions in 284 blocks) and the eu27 grid still take the filter
+    clouds = [eu_cloud, DataCloud(benchmark_gaussian(1, 80)), DataCloud(benchmark_gaussian(1, 400))]
+    indexes = [metric.ProjectionIndex(cloud, 1000, 0) for cloud in clouds]
+    entries = scanned_entries(monkeypatch)
+    for cloud, index in zip(clouds[:2], indexes):
+        entries.clear()
+        got = index.outlyingness(cloud.points)
+        assert sum(entries) == cloud.n * index.dirs.shape[0]
+        assert got.tobytes() == full_scan(index, cloud.points).tobytes()
+    big = indexes[2]
+    entries.clear()
+    assert big.outlyingness(clouds[2].points[:1]).tobytes() == full_scan(
+        big, clouds[2].points[:1]).tobytes()
+    assert sum(entries) < big.dirs.shape[0] // 10
+    entries.clear()
+    lo, hi = eu_cloud.points.min(axis=0), eu_cloud.points.max(axis=0)
+    grid = np.stack(np.meshgrid(*(np.linspace(a, b, 64) for a, b in zip(lo, hi))), -1)
+    indexes[0].outlyingness(grid.reshape(-1, 2))
+    assert sum(entries) < 0.5 * 64 * 64 * indexes[0].dirs.shape[0]
+
+
 def test_planar_index_blocks_bound_their_directions():
     cloud = DataCloud(benchmark_gaussian(33, 80))
     index = metric.ProjectionIndex(cloud, 1000, 0)

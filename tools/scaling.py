@@ -16,15 +16,17 @@ to each of two trees to compare them.
 
 The layers, with their default sizes and limit:
 
-``index`` (27,100,400,1600; 60 s)
+``index`` (10,27,100,400,1600; 60 s)
     the build of one ``metric.ProjectionIndex`` (budget 1000, seed 0) on a
     planar Gaussian cloud, and ``outlyingness`` per query: over 256 seeded
     queries, over a 64 x 64 grid on the data box padded by 10 % on each
     side, and in one call per query for the 256.  The child asserts that
-    each result is bitwise the scan of every direction (on every 8th grid
-    cell), and reports ``grid_read``, the share of the grid's (query,
-    direction) entries that the block filter read (null for an index
-    without block scans).
+    every median and MAD is bitwise a build that sorts each row's absolute
+    deviations again, and that each outlyingness is bitwise the scan of
+    every direction (on every 8th grid cell); it reports ``grid_read``,
+    the share of the grid's (query, direction) entries that the block
+    filter read (null for an index without block scans).  10 and 27 are
+    the sizes of the benchmark's post10 and eu27 clouds.
 ``lp`` (10,27,80,160,320; 60 s)
     ``weighted.zonoid_depth`` per linear program at 16 queries (8 data
     points, 8 Gaussian draws) on Gaussian clouds in d = 2 and d = 3, and
@@ -119,6 +121,23 @@ INDEX = """
 from depthkit import DataCloud, core, metric
 cloud = DataCloud(planar())
 build_s, index = best(lambda: metric.ProjectionIndex(cloud, 1000, 0))
+# every median and MAD is bitwise a build that sorts each row's |deviations|
+# again, in the same row chunks (so in the same BLAS row blocks); the planar
+# index keeps its rows in angular order, so rows are compared as sorted sets
+dirs = metric._whitened_directions(cloud, metric._moment_rule(cloud)[1], 1000, 0)
+step = max(1, core.BATCH_BYTES // (32 * n))
+med, mad = np.empty(len(dirs)), np.empty(len(dirs))
+for i in range(0, len(dirs), step):
+    s = np.sort(dirs[i:i + step] @ cloud.points.T, axis=1)
+    med[i:i + step] = metric._sorted_middle(s)
+    mad[i:i + step] = metric._sorted_middle(np.sort(np.abs(s - med[i:i + step, None]), axis=1))
+
+def row_set(*cols):
+    whole = np.ascontiguousarray(np.column_stack(cols))
+    return np.sort(whole.view(np.dtype((np.void, whole.shape[1] * 8))).ravel())
+
+assert np.array_equal(row_set(index.dirs, index.med, index.mad), row_set(dirs, med, mad))
+del dirs, med, mad
 zs = rng.standard_normal((256, 2))
 lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
 grid = np.stack(np.meshgrid(*(np.linspace(a - 0.1 * (b - a), b + 0.1 * (b - a), 64)
@@ -303,7 +322,7 @@ def _per_query(*paths: str) -> tuple[str, ...]:
 LAYERS = {
     "index": Layer(INDEX, ("directions", "build_s", "outlyingness_s_per_query",
                            "grid_s_per_query", "point_s_per_query", "grid_read"),
-                   "27,100,400,1600", 60.0),
+                   "10,27,100,400,1600", 60.0),
     "lp": Layer(LP, ("d2_lp_s", "d2_pivots", "d3_lp_s", "d3_pivots"),
                 "10,27,80,160,320", 60.0, fits=("d2_pivots", "d3_pivots"),
                 fields={"queries": 16}),
