@@ -27,10 +27,6 @@ from .geometry import ConvexRegion, half_turn_order
 from .rng import check_budget
 
 
-#: a bound on sums of squares that leaves room for the rounding of the mean
-_SQUARES_MAX = float(np.finfo(float).max) / 4
-
-
 @dataclass(frozen=True)
 class ScatterEstimator:
     """Named rule mapping a cloud to a center and an SPD scatter matrix."""
@@ -60,29 +56,15 @@ class ScatterEstimator:
         return center, scatter, chol
 
 
-def _moments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    center = pts.mean(axis=0)
-    dev = pts - center
-    return center, dev.T @ dev / pts.shape[0]
-
-
 def _moment_rule(cloud: DataCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance with divisor n.
-
-    No deviation from the mean exceeds the extent, so the sums of squares
-    stay below n extent^2.  Where that nears the largest float they are
-    formed with overflow allowed, and a scatter that is not finite is
-    refused with ``TOO_LARGE``.
-    """
-    extent = cloud.extent
-    if cloud.n * extent * extent < _SQUARES_MAX:
-        return _moments(cloud.points)
+    """Mean and covariance with divisor n; a scatter that overflows is
+    refused with ``TOO_LARGE``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        center, scatter = _moments(cloud.points)
+        center = cloud.points.mean(axis=0)
+        dev = cloud.points - center
+        scatter = dev.T @ dev / cloud.n
     if not np.isfinite(scatter).all():
-        raise EnumerationTooLargeError(
-            f"coordinates too large: the moment scatter overflows at extent {extent:.3g}"
-        )
+        raise EnumerationTooLargeError("coordinates too large: the moment scatter overflows")
     return center, scatter
 
 
@@ -194,11 +176,11 @@ def mahalanobis_region(cloud: DataCloud, alpha: float,
 #: once, whatever the budget: bigger chunks run slower, as the buffer leaves
 #: the cache and is paged in afresh
 _OUT_BLOCK_ENTRIES = 2**15
-#: entries the full scan reads (about 2 ns each) in the time the block
-#: filter spends on each block it visits (about 10 us, mostly numpy call
-#: overhead), measured against full scans on planar Gaussian clouds of 10 to
-#: 400 points and batches of 1 to 2n queries
-_VISIT_ENTRIES = 6000
+#: entries a full scan reads (about 2 ns each) in the time the block filter
+#: spends on one block visit (mostly numpy call overhead), as outlyingness
+#: counts the visits; measured against full scans on planar Gaussian clouds
+#: of 10 to 250 points and batches of 2 to 256 queries or the data points
+_VISIT_ENTRIES = 3500
 #: relative slack of the block bounds, far above the rounding of the kernel
 #: and of the bound itself (a few units of 2**-53)
 _BOUND_SLACK = 1e-9
@@ -207,9 +189,9 @@ _BOUND_SLACK = 1e-9
 def _sorted_middle(s: np.ndarray) -> np.ndarray:
     """The median of each row of the row-sorted ``s``, as ``np.median`` takes
     it after its partition: the middle entry, or the mean of the two middle
-    ones."""
+    ones, summed and halved as ``np.mean`` does."""
     k = s.shape[1] // 2
-    return s[:, k] if s.shape[1] % 2 else np.mean(s[:, k - 1:k + 1], axis=1)
+    return s[:, k] if s.shape[1] % 2 else (s[:, k - 1] + s[:, k]) / 2
 
 
 def _sorted_mad(s: np.ndarray, med: np.ndarray) -> np.ndarray:
@@ -431,37 +413,54 @@ class ProjectionIndex:
     def outlyingness(self, zs: np.ndarray) -> np.ndarray:
         """max over directions of |<p, z> - med| / mad, for each row of zs.
 
-        A one-block index scans every direction, and so does an index
-        whose m directions fit one buffer of ``_OUT_BLOCK_ENTRIES`` when
-        the batch's entries cost no more than a visit to every block
-        (``_VISIT_ENTRIES`` each), in chunks of entries // m rows (at least
-        one).  Otherwise the queries go in chunks of entries // size rows:
-        each query first scans the block of its largest bound, and then,
-        block by block, only the blocks whose bound is not below its running
-        maximum.  A block left out holds no entry as large as that maximum,
-        and every entry is summed alike in any slice (:meth:`_scan`), so the
-        value is bitwise the scan of all m directions.
+        Queries go in chunks of ``_OUT_BLOCK_ENTRIES`` // size rows (at
+        least one).  A chunk whose queries take at most that many entries
+        with all m directions, or any chunk of a one-block index, scans
+        every direction.  Otherwise each query first scans the block of its
+        largest bound, and then, block by block, only the blocks whose bound
+        is not below its running maximum.  A block left out holds no entry
+        as large as that maximum, and every entry is summed alike in any
+        slice (:meth:`_scan`), so the value is bitwise the scan of all m
+        directions.
+
+        Where the m directions fit one buffer, a chunk also scans every
+        direction, a buffer at a time, when its entries cost no more than
+        the block visits the filter may make (``_VISIT_ENTRIES`` each).  A
+        query's outlyingness in the middle direction of its first block is
+        at most its running maximum, so the blocks first scanned and the
+        blocks whose bound reaches that value hold every visit.
         """
         entries = min(core.BATCH_BYTES // 8, _OUT_BLOCK_ENTRIES)
         m = self.dirs.shape[0]
         blocks = -(-m // self.size)
-        full = blocks == 1 or (m <= entries and zs.shape[0] * m <= _VISIT_ENTRIES * blocks)
-        rows = max(1, entries // (m if full else self.size))
+        rows = max(1, entries // self.size)
         out = np.empty(zs.shape[0])
         for start in range(0, zs.shape[0], rows):
             z = zs[start:start + rows]
             part = out[start:start + rows]
-            if full:
+            if blocks == 1 or z.shape[0] * m <= entries:
                 part[:] = self._scan(z, 0, blocks)
                 continue
             bound = self._bounds(z)
             best = bound.argmax(axis=0)
-            for block in np.flatnonzero(np.bincount(best, minlength=blocks)):
+            firsts = np.flatnonzero(np.bincount(best, minlength=blocks))
+            # each query's first block is scanned first; a NaN or inf bound
+            # is kept, and the blocks no query keeps are not visited
+            bound[best, np.arange(z.shape[0])] = -np.inf
+            # the count below is at most the first blocks plus every block,
+            # so a chunk past that many visits' entries keeps the filter
+            if m <= entries and z.shape[0] * m <= _VISIT_ENTRIES * (firsts.size + blocks):
+                col = np.minimum(best * self.size + self.size // 2, m - 1)
+                low = np.abs((z * self.dirs[col]).sum(axis=1) - self.med[col]) / self.mad[col]
+                visits = firsts.size + np.count_nonzero((~(bound < low)).any(axis=1))
+                if z.shape[0] * m <= _VISIT_ENTRIES * visits:
+                    step = entries // m
+                    for sub in range(0, z.shape[0], step):
+                        part[sub:sub + step] = self._scan(z[sub:sub + step], 0, blocks)
+                    continue
+            for block in firsts:
                 sel = np.flatnonzero(best == block)
                 part[sel] = self._scan(z[sel], block, 1)
-            # each query's first block is done; a NaN or inf bound is kept,
-            # and the blocks no query keeps are not visited
-            bound[best, np.arange(z.shape[0])] = -np.inf
             for block in np.flatnonzero((~(bound < part)).any(axis=1)):
                 sel = np.flatnonzero(~(bound[block] < part))
                 if sel.size:

@@ -120,16 +120,16 @@ def test_projection_depth_is_free_of_the_scale(scale):
             == metric.ProjectionIndex(base, 1000, 0).dirs.shape)
 
 
-def test_projection_index_without_directions_is_a_coded_error():
-    # scaled by 1e-155 the moment scatter is subnormal and the whitened
-    # directions' norms overflow, so none is kept: a coded error, where an
-    # empty index once divided by zero.  Scaled by 1e200 the scatter itself
-    # overflows, and that is refused first, as too large
+def test_projection_index_without_directions_is_a_coded_error(monkeypatch):
+    # an index left with no direction is a coded error, where an empty index
+    # once divided by zero.  Scaled by 1e200 the moment scatter overflows,
+    # and that is refused first, as too large
     pts = np.random.default_rng(3).standard_normal((12, 2))
-    with np.errstate(all="ignore"), pytest.raises(ZeroMadError, match="survives whitening"):
-        metric.projection_depth_many(pts * 1e-155, DataCloud(pts * 1e-155))
     with pytest.raises(EnumerationTooLargeError, match="scatter overflows"):
         metric.projection_depth_many(pts * 1e200, DataCloud(pts * 1e200))
+    monkeypatch.setattr(metric, "_whitened_directions", lambda cloud, *_: np.empty((0, cloud.d)))
+    with pytest.raises(ZeroMadError, match="survives whitening"):
+        metric.projection_depth_many(pts, DataCloud(pts))
 
 
 def test_projection_seed_reproducible():

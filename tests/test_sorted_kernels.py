@@ -356,29 +356,32 @@ def test_pruned_outlyingness_on_a_lattice_of_tied_directions(monkeypatch, entrie
     assert index.outlyingness(qs).tobytes() == full_scan(index, qs).tobytes()
 
 
-def test_small_batches_scan_every_direction_once(monkeypatch, eu_cloud):
-    # depth --all on eu27 (27 x 1351 entries) and on a g80 cloud (80 x 4160)
-    # cost less as a full scan than as the filter's loop over up to twice
-    # their 37 and 64 blocks; a point call on a 400-point cloud (80,800
-    # directions in 284 blocks) and the eu27 grid still take the filter
-    clouds = [eu_cloud, DataCloud(benchmark_gaussian(1, 80)), DataCloud(benchmark_gaussian(1, 400))]
-    indexes = [metric.ProjectionIndex(cloud, 1000, 0) for cloud in clouds]
+def test_batches_take_the_cheaper_of_the_scan_and_the_filter(monkeypatch, eu_cloud):
+    # depth --all on eu27 (27 x 1351 entries) costs less as a full scan than
+    # as the filter's loop over its 37 blocks; 32 and 64 grid queries on
+    # clouds of 200 and 120 points visit few of their 145 and 90 blocks, so
+    # they take the filter, as do a point call on a 400-point cloud (80,800
+    # directions in 284 blocks) and the eu27 grid
+    rng = np.random.default_rng(35)
     entries = scanned_entries(monkeypatch)
-    for cloud, index in zip(clouds[:2], indexes):
+
+    def read(index, qs):
         entries.clear()
-        got = index.outlyingness(cloud.points)
-        assert sum(entries) == cloud.n * index.dirs.shape[0]
-        assert got.tobytes() == full_scan(index, cloud.points).tobytes()
-    big = indexes[2]
-    entries.clear()
-    assert big.outlyingness(clouds[2].points[:1]).tobytes() == full_scan(
-        big, clouds[2].points[:1]).tobytes()
-    assert sum(entries) < big.dirs.shape[0] // 10
-    entries.clear()
+        assert index.outlyingness(qs).tobytes() == full_scan(index, qs).tobytes()
+        return sum(entries) / (qs.shape[0] * index.dirs.shape[0])
+
+    assert read(metric.ProjectionIndex(eu_cloud, 1000, 0), eu_cloud.points) == 1.0
+    for n, q in ((200, 32), (120, 64)):
+        pts = benchmark_gaussian(1, n)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        pad = 0.1 * (hi - lo)
+        assert read(metric.ProjectionIndex(DataCloud(pts), 1000, 0),
+                    rng.uniform(lo - pad, hi + pad, (q, 2))) < 0.5
+    big = DataCloud(benchmark_gaussian(1, 400))
+    assert read(metric.ProjectionIndex(big, 1000, 0), big.points[:1]) < 0.1
     lo, hi = eu_cloud.points.min(axis=0), eu_cloud.points.max(axis=0)
     grid = np.stack(np.meshgrid(*(np.linspace(a, b, 64) for a, b in zip(lo, hi))), -1)
-    indexes[0].outlyingness(grid.reshape(-1, 2))
-    assert sum(entries) < 0.5 * 64 * 64 * indexes[0].dirs.shape[0]
+    assert read(metric.ProjectionIndex(eu_cloud, 1000, 0), grid.reshape(-1, 2)) < 0.5
 
 
 def test_planar_index_blocks_bound_their_directions():

@@ -121,16 +121,17 @@ INDEX = """
 from depthkit import DataCloud, core, metric
 cloud = DataCloud(planar())
 build_s, index = best(lambda: metric.ProjectionIndex(cloud, 1000, 0))
-# every median and MAD is bitwise a build that sorts each row's |deviations|
-# again, in the same row chunks (so in the same BLAS row blocks); the planar
-# index keeps its rows in angular order, so rows are compared as sorted sets
+# every median and MAD is bitwise np.median of each row of projections and
+# of its |deviations|, in the same row chunks (so in the same BLAS row
+# blocks); the planar index keeps its rows in angular order, so rows are
+# compared as sorted sets
 dirs = metric._whitened_directions(cloud, metric._moment_rule(cloud)[1], 1000, 0)
 step = max(1, core.BATCH_BYTES // (32 * n))
 med, mad = np.empty(len(dirs)), np.empty(len(dirs))
 for i in range(0, len(dirs), step):
-    s = np.sort(dirs[i:i + step] @ cloud.points.T, axis=1)
-    med[i:i + step] = metric._sorted_middle(s)
-    mad[i:i + step] = metric._sorted_middle(np.sort(np.abs(s - med[i:i + step, None]), axis=1))
+    s = dirs[i:i + step] @ cloud.points.T
+    med[i:i + step] = np.median(s, axis=1)
+    mad[i:i + step] = np.median(np.abs(s - med[i:i + step, None]), axis=1)
 
 def row_set(*cols):
     whole = np.ascontiguousarray(np.column_stack(cols))
