@@ -200,24 +200,22 @@ def _cmd_fdepth(args) -> int:
                          delimiter=args.delimiter,
                          header=False if args.no_header else None)
     opts = _options(args)
-    t_indices = None
-    if args.t_indices:
-        t_indices = _t_indices(args.t_indices)
+    t_indices = _t_indices(args.t_indices) if args.t_indices else None
 
-    depth = graph_depth if args.kind == "graph" else grid_depth
-
-    def one(curve) -> float:
-        return depth(curve, sample, base_depth=args.base,
-                     t_indices=t_indices, options=opts)
-
+    curves = sample.curves
     if args.index is not None:
         if not 0 <= args.index < sample.n:
             raise ValueError(
                 f"curve index {args.index} out of range for n={sample.n}")
-        print(f"{one(sample.curves[args.index]):.9g}")
+        curves = curves[args.index:args.index + 1]
+    depth = graph_depth if args.kind == "graph" else grid_depth
+    values = depth(curves, sample, base_depth=args.base, t_indices=t_indices,
+                   options=opts)
+    if args.index is not None:
+        print(f"{values[0]:.9g}")
         return 0
-    for i in range(sample.n):
-        print(f"{i},{one(sample.curves[i]):.9g}")
+    for i, value in enumerate(values):
+        print(f"{i},{value:.9g}")
     return 0
 
 

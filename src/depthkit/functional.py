@@ -4,12 +4,16 @@ A curve is represented by its values on a shared argument grid in [0, 1].
 Every depth here is a Phi-depth (Mosler and Polyakova): the infimum of a
 multivariate base depth D over a family Phi of linear maps of the curves,
 inf_phi D(phi(z) | phi(X)).  One loop, ``_least_depth``, takes that
-infimum for all three families, which only yield the pairs (phi(z), phi(X)):
+infimum for all three families, which only yield the maps:
 
 * ``graph_depth``   uses the evaluation functionals x -> x(t),
 * ``grid_depth``    uses weighted time combinations x -> x(t_) @ r over
   seeded unit directions r plus the coordinate axes,
 * ``phi_depth``     accepts an arbitrary finite family of linear maps.
+
+Each takes one query curve (a float) or an (m, k, d) batch (m depths).  A
+call builds each map's image cloud once for its batch and holds one at a
+time, so separate calls per curve build every cloud again.
 
 The infimum preserves translation invariance, scale invariance,
 monotonicity and upper semicontinuity of the base depth.
@@ -17,7 +21,7 @@ monotonicity and upper semicontinuity of the base depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,12 +43,12 @@ CurveFunctional = Callable[[np.ndarray], np.ndarray]
 class FunctionalSample:
     """n curves sampled on a common grid: values array of shape (n, k, d).
 
-    ``grid`` and ``curves`` are read-only copies of the inputs.
+    ``grid`` and ``curves`` are read-only copies of the inputs, and the
+    sample holds nothing else: a depth call builds the clouds it needs.
     """
 
     grid: np.ndarray
     curves: np.ndarray
-    _clouds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float).reshape(-1)
@@ -85,21 +89,16 @@ class FunctionalSample:
         return self.curves.shape[2]
 
     def point_cloud(self, t_index: int) -> DataCloud:
-        """Cloud of all curve values at one grid position.
-
-        The same cloud is returned for the same position, so what a depth
-        derives from it is built once per position, not once per query.
-        """
-        if t_index not in self._clouds:
-            self._clouds[t_index] = DataCloud(self.curves[:, t_index, :])
-        return self._clouds[t_index]
+        """A new cloud of all curve values at one grid position."""
+        return DataCloud(self.curves[:, t_index, :])
 
     def coerce_curve(self, z) -> np.ndarray:
-        """Validate a query curve against this sample's grid shape."""
+        """Validate a query curve, or an (m, k, d) batch of curves, against
+        this sample's grid shape."""
         z = np.asarray(z, dtype=float)
         if z.ndim == 1:
             z = z[:, np.newaxis]
-        if z.shape != (self.k, self.d):
+        if z.ndim > 3 or z.shape[-2:] != (self.k, self.d):
             raise ValueError(
                 f"query curve must have shape ({self.k}, {self.d}), "
                 f"got {z.shape}")
@@ -108,9 +107,9 @@ class FunctionalSample:
         return z
 
     def sup_norm(self, z) -> float:
-        """Sampled supremum norm max_t |z(t)|."""
+        """Sampled supremum norm max_t |z(t)| (the largest of a batch)."""
         z = self.coerce_curve(z)
-        return float(np.max(np.linalg.norm(z, axis=1)))
+        return float(np.max(np.linalg.norm(z, axis=-1)))
 
 
 def _base_spec(base_depth: str):
@@ -140,55 +139,44 @@ def _time_indices(sample: FunctionalSample, t_indices) -> np.ndarray:
     return idx
 
 
-def _least_depth(spec, pairs, options: EvalOptions) -> float:
-    """inf of ``spec`` over (phi(z), phi(X)) pairs, in their order; a pair
-    is built only when the one before it leaves the value above 0."""
-    value = 1.0
-    for q, cloud in pairs:
-        value = min(value, spec.evaluate(q, cloud, options))
-        if value == 0.0:
+def _least_depth(spec, zs: np.ndarray, maps, image,
+                 options: EvalOptions) -> float | np.ndarray:
+    """inf of ``spec`` over the ``maps``, in order, for a checked curve or
+    batch.  ``image(phi, curves)`` gives the images of the curves still
+    above 0 and the sample's image cloud; a curve leaves once its value is
+    0, and no map is built once none is left."""
+    batch = zs.ndim == 3
+    zs = zs if batch else zs[np.newaxis]
+    values, live = np.ones(zs.shape[0]), np.arange(zs.shape[0])
+    for phi in maps:
+        if live.size == 0:
             break
-    return value
-
-
-def _graph_pairs(z, sample: FunctionalSample, t_indices):
-    zc = sample.coerce_curve(z)
-    for j in _time_indices(sample, t_indices):
-        yield zc[j], sample.point_cloud(int(j))
+        qs, cloud = image(phi, zs[live])
+        values[live] = np.minimum(values[live], spec.evaluate_many(qs, cloud, options))
+        live = live[values[live] > 0.0]
+    return values if batch else float(values[0])
 
 
 def graph_depth(z, sample: FunctionalSample, base_depth: str = "halfspace",
                 t_indices: Sequence[int] | None = None,
-                options: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """Minimum over grid positions of the pointwise base depth.
+                options: EvalOptions = DEFAULT_OPTIONS) -> float | np.ndarray:
+    """Minimum over grid positions of the pointwise base depth, for one
+    curve or an (m, k, d) batch.
 
     With univariate data and the halfspace base this is the halfgraph
     depth of the query curve in the sample.
     """
-    return _least_depth(_base_spec(base_depth),
-                        _graph_pairs(z, sample, t_indices), options)
-
-
-def _grid_pairs(z, sample: FunctionalSample, t_indices, options: EvalOptions):
-    zc = sample.coerce_curve(z)
-    idx = _time_indices(sample, t_indices)
-    directions = np.vstack([np.eye(idx.size),
-                            unit_directions(idx.size, options.budget, options.seed)])
-    # the query rides through the same contraction as the sample so a curve
-    # that coincides with a sample curve projects bitwise identically
-    stacked = np.concatenate([sample.curves[:, idx, :], zc[idx, :][np.newaxis]],
-                             axis=0)
-    for r in directions:
-        proj = np.einsum("m,nmd->nd", r, stacked)
-        # one direction's cloud, and what a depth derives from it, at a time
-        yield proj[-1], DataCloud(proj[:-1])
+    spec, zs = _base_spec(base_depth), sample.coerce_curve(z)
+    return _least_depth(spec, zs, _time_indices(sample, t_indices),
+                        lambda j, curves: (curves[:, j], sample.point_cloud(j)), options)
 
 
 def grid_depth(z, sample: FunctionalSample,
                t_indices: Sequence[int] | None = None,
                base_depth: str = "halfspace",
-               options: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """Minimum base depth over weighted time combinations of the curves.
+               options: EvalOptions = DEFAULT_OPTIONS) -> float | np.ndarray:
+    """Minimum base depth over weighted time combinations of the curves,
+    for one curve or an (m, k, d) batch.
 
     Each unit direction r over the chosen grid positions induces the map
     x -> sum_m r_m x(t_m), a d-vector per curve; the reported value is the
@@ -196,62 +184,76 @@ def grid_depth(z, sample: FunctionalSample,
     plus the coordinate axes, an upper bound on the infimum that decreases
     with the budget.  The base depth is evaluated with the same options.
     """
-    return _least_depth(_base_spec(base_depth),
-                        _grid_pairs(z, sample, t_indices, options), options)
+    spec, zs = _base_spec(base_depth), sample.coerce_curve(z)
+    idx = _time_indices(sample, t_indices)
+    directions = np.vstack([np.eye(idx.size),
+                            unit_directions(idx.size, options.budget, options.seed)])
+    values = sample.curves[:, idx, :]
+
+    def image(r, curves):
+        # the queries ride through the same contraction as the sample so a
+        # curve that coincides with a sample curve projects bitwise identically
+        stacked = np.concatenate([values, curves[:, idx, :]], axis=0)
+        proj = np.einsum("m,nmd->nd", r, stacked)
+        return proj[sample.n:], DataCloud(proj[:sample.n])
+
+    return _least_depth(spec, zs, directions, image, options)
 
 
 _LINEARITY_TRIALS = 3
 _LINEARITY_TOL = 1e-8
 
 
-def _phi_pairs(z, sample: FunctionalSample,
-               functionals: Sequence[CurveFunctional]):
+def _check_additive(sample: FunctionalSample,
+                    functionals: Sequence[CurveFunctional]) -> None:
+    """Additivity of every map on random curve pairs u, v, within a
+    tolerance relative to the largest entry of phi(u) and phi(v)."""
     if len(functionals) == 0:
         raise ValueError("the family of functionals must be nonempty")
-    zc = sample.coerce_curve(z)
-    # additivity on random curve pairs, for every map before the first is used
     rng = np.random.default_rng(20240917)
     shape = (sample.k, sample.d)
     for i, phi in enumerate(functionals):
         for _ in range(_LINEARITY_TRIALS):
             u = rng.standard_normal(shape)
             v = rng.standard_normal(shape)
-            lhs = np.asarray(phi(u + v), dtype=float)
-            rhs = np.asarray(phi(u), dtype=float) + np.asarray(phi(v),
-                                                               dtype=float)
-            scale = max(1.0, float(np.max(np.abs(rhs))))
+            pu, pv, lhs = (np.asarray(phi(x), dtype=float) for x in (u, v, u + v))
+            rhs, scale = pu + pv, max(np.max(np.abs(pu)), np.max(np.abs(pv)))
             if lhs.shape != rhs.shape or np.max(
                     np.abs(lhs - rhs)) > _LINEARITY_TOL * scale:
                 raise NonlinearFunctionalError(
                     f"functional #{i} is not additive on random inputs")
-    for phi in functionals:
-        q = np.asarray(phi(zc), dtype=float).reshape(-1)
-        pts = np.array([np.asarray(phi(curve), dtype=float).reshape(-1)
-                        for curve in sample.curves])
-        yield q, DataCloud(pts)
 
 
 def phi_depth(z, sample: FunctionalSample,
               functionals: Sequence[CurveFunctional],
               base_depth: str = "halfspace",
-              options: EvalOptions = DEFAULT_OPTIONS) -> float:
-    """Minimum base depth over a finite family of linear curve functionals.
+              options: EvalOptions = DEFAULT_OPTIONS) -> float | np.ndarray:
+    """Minimum base depth over a finite family of linear curve functionals,
+    for one curve or an (m, k, d) batch.
 
-    Each functional maps a (k, d) curve-value array to a vector; all
-    functionals must map to the same dimension.  Additivity is verified on
-    random curve pairs before evaluation.
+    Each functional maps a (k, d) curve-value array to a vector.  Each map
+    gets its own image cloud, so the maps need not share a dimension.
+    Additivity is verified on random curve pairs before evaluation.
     """
-    return _least_depth(_base_spec(base_depth),
-                        _phi_pairs(z, sample, functionals), options)
+    spec, zs = _base_spec(base_depth), sample.coerce_curve(z)
+    _check_additive(sample, functionals)
+
+    def image(phi, curves):
+        values = [np.asarray(phi(curve), dtype=float).reshape(-1)
+                  for curve in (*curves, *sample.curves)]
+        return np.array(values[:len(curves)]), DataCloud(values[len(curves):])
+
+    return _least_depth(spec, zs, functionals, image, options)
 
 
 def phi_maximality(z, sample: FunctionalSample,
                    functionals: Sequence[CurveFunctional],
                    base_depth: str = "halfspace",
                    options: EvalOptions = DEFAULT_OPTIONS,
-                   tol: float = 1e-9) -> bool:
+                   tol: float = 1e-9) -> bool | np.ndarray:
     """True iff every functional sends the query into the base depth's
-    deepest (level 1) region, i.e. the minimum structure attains its bound."""
+    deepest (level 1) region, i.e. the minimum structure attains its bound;
+    for an (m, k, d) batch, m such answers."""
     return phi_depth(z, sample, functionals, base_depth, options) >= 1.0 - tol
 
 

@@ -122,10 +122,9 @@ def test_graph_depth_builds_one_index_per_grid_position(monkeypatch):
     builds = _count_calls(monkeypatch, metric, "ProjectionIndex")
     rng = np.random.default_rng(2)
     sample = FunctionalSample(np.linspace(0.0, 1.0, 5), rng.standard_normal((12, 5, 2)))
-    for curve in sample.curves[:4]:
-        graph_depth(curve, sample, "projection", options=OPTIONS)
+    # a batch of 4 curves builds each position's cloud, and its index, once
+    graph_depth(sample.curves[:4], sample, "projection", options=OPTIONS)
     assert len(builds) == sample.k
-    assert sample.point_cloud(2) is sample.point_cloud(2)
 
 
 def test_grid_depth_frees_each_direction_state(monkeypatch):
@@ -155,6 +154,27 @@ def test_grid_depth_frees_each_direction_state(monkeypatch):
     assert value > 0.0
     assert len(builds) == sample.k + options.budget
     assert peak < 8 * frame_bytes
+
+
+def test_graph_depth_batch_keeps_nothing_on_the_sample():
+    # one grid position's echstar state, its frame of 4·C(30, 2) × 30 floats
+    # (0.4 MB) and its bisection supports, lives only while that position
+    # is evaluated: the batch peaks at a few frames, not at all 8 positions'
+    # state, and the sample keeps none of it after the call
+    curves = np.cumsum(np.random.default_rng(4).standard_normal((30, 8, 2)), axis=1)
+    sample = FunctionalSample(np.linspace(0.0, 1.0, 8), curves)
+    frame_bytes = 4 * (30 * 29 // 2) * 30 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        values = graph_depth(curves[:10], sample, "echstar")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (10,) and np.all(values > 0.0)
+    assert peak - before < 4 * frame_bytes
+    assert kept - before < frame_bytes / 10
+    assert set(vars(sample)) == {"grid", "curves"}
 
 
 def test_cloud_is_not_moved_by_writes_to_its_source():

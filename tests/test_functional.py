@@ -218,6 +218,22 @@ def test_phi_depth_rejects_nonlinear_functionals():
         phi_depth(np.zeros(4), s, bad)
 
 
+def test_phi_additivity_check_is_scale_free():
+    # the tolerance is relative to phi(u) and phi(v), with no floor at 1, so
+    # a small square is refused and a linear map is accepted at any scale
+    s = random_sample(3, 12, 4)
+    z = s.curves[5]
+    for c in (1.0, 1e-9, 1e-12, 1e-300):
+        square = lambda curve, c=c: c * np.asarray(curve)[0] ** 2  # noqa: E731
+        with pytest.raises(NonlinearFunctionalError):
+            phi_depth(z, s, [square])
+    unscaled = phi_depth(z, s, [lambda curve: np.asarray(curve)[0] - np.asarray(curve)[3]])
+    for c in (1e-300, 1e-12, 1e12, 1e200):
+        ends = lambda curve, c=c: c * (np.asarray(curve)[0] - np.asarray(curve)[3])  # noqa: E731
+        assert phi_depth(z, s, [ends]) == unscaled
+    assert phi_depth(z, s, [lambda curve: np.zeros(1)]) == 1.0
+
+
 def test_phi_depth_requires_nonempty_family():
     s = random_sample(8, 5, 4)
     with pytest.raises(ValueError):

@@ -4,7 +4,9 @@
 once carried their own minimum loop.  Those loops are kept below as the
 oracle: on seeded univariate and planar samples, every admissible base
 depth must give bitwise the same value, on grid-position subsets and on
-curves outside the envelope (where the minimum stops at 0) as well.
+curves outside the envelope (where the minimum stops at 0) as well.  Each
+depth also takes a batch of curves in one call; the batch must be bitwise
+the oracle curve by curve, and one curve bitwise a batch of one.
 """
 
 import numpy as np
@@ -98,60 +100,89 @@ def _queries(sample):
             0.3 * curves[0] + 0.7 * curves[5], curves[1] + 50.0)
 
 
-def _family(sample):
+def _family(sample, t_indices=(2, 0)):
     mean = lambda curve: np.mean(np.asarray(curve, dtype=float), axis=0)  # noqa: E731
     ends = lambda curve: np.asarray(curve, dtype=float)[-1] - np.asarray(curve)[0]  # noqa: E731
-    return evaluation_functionals(sample, [2, 0]) + [mean, ends]
+    return evaluation_functionals(sample, t_indices) + [mean, ends]
+
+
+def _bitwise(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def _check(depth, oracle, queries):
+    """``depth(zs)`` on the stacked queries and on each one, as a curve and
+    as a batch of one, is bitwise ``oracle(z)`` curve by curve."""
+    want = [oracle(z) for z in queries]
+    singles = [depth(z) for z in queries]
+    assert all(type(v) is float for v in singles)
+    assert _bitwise(singles, want)
+    assert _bitwise([depth(z[np.newaxis])[0] for z in queries], want)
+    batch = depth(np.stack(queries))
+    assert batch.shape == (len(queries),) and _bitwise(batch, want)
 
 
 @pytest.mark.parametrize("d", (1, 2))
 @pytest.mark.parametrize("base", BASES)
 def test_graph_depth_equals_the_pointwise_loop(base, d):
     sample = _sample(d)
-    for z in _queries(sample):
-        for sub in SUBSETS:
-            got = graph_depth(z, sample, base, sub, OPTIONS)
-            assert got == oracle_graph(z, sample, base, sub, OPTIONS)
+    for sub in SUBSETS:
+        _check(lambda z: graph_depth(z, sample, base, sub, OPTIONS),
+               lambda z: oracle_graph(z, sample, base, sub, OPTIONS), _queries(sample))
 
 
 @pytest.mark.parametrize("d", (1, 2))
 @pytest.mark.parametrize("base", BASES)
 def test_grid_depth_equals_the_direction_loop(base, d):
     sample = _sample(d)
-    for z in _queries(sample):
-        for sub in SUBSETS:
-            got = grid_depth(z, sample, sub, base, OPTIONS)
-            assert got == oracle_grid(z, sample, base, sub, OPTIONS)
+    for sub in SUBSETS:
+        _check(lambda z: grid_depth(z, sample, sub, base, OPTIONS),
+               lambda z: oracle_grid(z, sample, base, sub, OPTIONS), _queries(sample))
 
 
 @pytest.mark.parametrize("d", (1, 2))
 @pytest.mark.parametrize("base", BASES)
 def test_phi_depth_and_maximality_equal_the_family_loops(base, d):
     sample = _sample(d)
-    family = _family(sample)
-    for z in _queries(sample):
-        assert (phi_depth(z, sample, family, base, OPTIONS)
-                == oracle_phi(z, sample, family, base, OPTIONS))
-        assert (phi_maximality(z, sample, family, base, OPTIONS)
-                is oracle_maximality(z, sample, family, base, OPTIONS))
+    queries = _queries(sample)
+    for sub in SUBSETS:
+        family = _family(sample, sub)
+        _check(lambda z: phi_depth(z, sample, family, base, OPTIONS),
+               lambda z: oracle_phi(z, sample, family, base, OPTIONS), queries)
+        want = [oracle_maximality(z, sample, family, base, OPTIONS) for z in queries]
+        assert [phi_maximality(z, sample, family, base, OPTIONS) for z in queries] == want
+        batch = phi_maximality(np.stack(queries), sample, family, base, OPTIONS)
+        assert batch.tolist() == want
 
 
 def test_far_curves_stop_at_zero(monkeypatch):
-    calls = []
-    evaluate = DepthSpec.evaluate
+    rows = []
+    evaluate_many = DepthSpec.evaluate_many
 
-    def counted(self, z, cloud, options=OPTIONS):
-        calls.append(self.name)
-        return evaluate(self, z, cloud, options)
+    def counted(self, zs, cloud, options=OPTIONS):
+        rows.append((self.name, len(zs)))
+        return evaluate_many(self, zs, cloud, options)
 
-    monkeypatch.setattr(DepthSpec, "evaluate", counted)
+    monkeypatch.setattr(DepthSpec, "evaluate_many", counted)
     sample = _sample(2)
     far = sample.curves[1] + 50.0
+    family = _family(sample)
     assert graph_depth(far, sample) == 0.0
     assert grid_depth(far, sample, options=OPTIONS) == 0.0
-    assert phi_depth(far, sample, _family(sample)) == 0.0
+    assert phi_depth(far, sample, family) == 0.0
     # the first map already gives 0, so no later one is evaluated
-    assert calls == ["halfspace"] * 3
+    assert rows == [("halfspace", 1)] * 3
+    # in a batch the far curve leaves after the first map, while a sample
+    # curve, a point of every image cloud, stays above 0 to the last map
+    pair = np.stack([far, sample.curves[3]])
+    for depth, maps in ((lambda zs: graph_depth(zs, sample), sample.k),
+                        (lambda zs: grid_depth(zs, sample, options=OPTIONS),
+                         sample.k + OPTIONS.budget),
+                        (lambda zs: phi_depth(zs, sample, family), len(family))):
+        rows.clear()
+        values = depth(pair)
+        assert values[0] == 0.0 and values[1] > 0.0
+        assert rows == [("halfspace", 2)] + [("halfspace", 1)] * (maps - 1)
 
 
 def test_phi_maximality_true_and_false():

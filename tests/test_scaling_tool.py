@@ -1,7 +1,7 @@
 """The scaling tool, ``tools/scaling.py``: every layer at two small sizes.
 
 Each run starts one fresh interpreter per size, as the tool does for any
-record; the sizes are those of the CI tools smoke, about 3 s in all.
+record; the sizes are those of the CI tools smoke, about 12 s in all.
 """
 
 import json
@@ -18,6 +18,7 @@ TOOL = ROOT / "tools" / "scaling.py"
 
 PER_QUERY = "_s_per_query"
 DEPTHS = tuple(name.replace("-", "_") for name in available_depths())
+FDEPTH_CALLS = ("graph_halfspace", "graph_projection", "grid_halfspace", "grid_projection")
 LAYERS = {
     "index": ("27,100", ("directions", "build_s", "outlyingness_s_per_query",
                         "grid_s_per_query", "point_s_per_query", "grid_read"),
@@ -40,6 +41,9 @@ LAYERS = {
     "dispatch": ("10,27", tuple(f"{name}_{call}{PER_QUERY}" for name in DEPTHS
                                 for call in ("point", "batch")),
                  tuple(f"{name}_{call}_exp" for name in DEPTHS for call in ("point", "batch"))),
+    "fdepth": ("10,30", tuple(f"{call}_{way}_s_per_curve" for call in FDEPTH_CALLS
+                              for way in ("loop", "batch")),
+               tuple(f"{call}_{way}_exp" for call in FDEPTH_CALLS for way in ("loop", "batch"))),
 }
 
 

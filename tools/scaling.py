@@ -66,6 +66,14 @@ The layers, with their default sizes and limit:
     ``evaluate_many`` batch, each run on a fresh cloud with the default
     ``EvalOptions``; 10, 27 and 80 are the sizes of the benchmark's
     post10, eu27 and g80 clouds.
+``fdepth`` (10,30,80,160; 300 s)
+    ``graph_depth`` and ``grid_depth`` per query curve, with the halfspace
+    and the projection base (``EvalOptions`` budget 100, seed 0), on a
+    sample of n planar random walks at k = 10 grid positions, for the
+    sample's first 8 curves: by one call per curve and by one batch, each
+    run on a fresh sample.  The child asserts that the batch is bitwise
+    the per-curve calls; the batch is null for a ``depthkit`` whose depths
+    take one curve only.  30 is the size of the benchmark's walk2d sample.
 """
 
 from __future__ import annotations
@@ -315,6 +323,36 @@ for spec in map(get_depth, DEPTHS):
         point_calls, lambda: spec.evaluate_many(zs, DataCloud(pts))))
 """
 
+FDEPTH_CALLS = tuple(f"{kind}_{base}" for kind in ("graph", "grid")
+                     for base in ("halfspace", "projection"))
+
+FDEPTH = f"CALLS = {FDEPTH_CALLS!r}\n" + """
+from depthkit.functional import FunctionalSample, graph_depth, grid_depth
+from depthkit.registry import EvalOptions
+grid = np.linspace(0.0, 1.0, 10)
+curves = np.cumsum(rng.standard_normal((n, 10, 2)), axis=1)
+zs = curves[:8]
+options = EvalOptions(seed=0, budget=100)
+row = ()
+for call in CALLS:
+    kind, base = call.split("_")
+    depth = graph_depth if kind == "graph" else grid_depth
+
+    def per_curve():
+        sample = FunctionalSample(grid, curves)
+        return [depth(z, sample, base_depth=base, options=options) for z in zs]
+
+    loop_s, want = best(per_curve)
+    try:
+        batch_s, got = best(lambda: depth(zs, FunctionalSample(grid, curves),
+                                          base_depth=base, options=options))
+    except ValueError:
+        row += (loop_s / len(zs), None)
+        continue
+    assert got.tobytes() == np.array(want).tobytes()
+    row += (loop_s / len(zs), batch_s / len(zs))
+"""
+
 
 def _per_query(*paths: str) -> tuple[str, ...]:
     return tuple(f"{path}_s_per_query" for path in paths)
@@ -347,6 +385,11 @@ LAYERS = {
                                              for name in DEPTHS for call in ("point", "batch"))),
                       "10,27,80", 300.0,
                       fields={"queries": "16 data points and 16 Gaussian draws per cloud"}),
+    "fdepth": Layer(FDEPTH, tuple(f"{call}_{way}_s_per_curve" for call in FDEPTH_CALLS
+                                  for way in ("loop", "batch")),
+                    "10,30,80,160", 300.0,
+                    fields={"queries": "the first 8 sample curves",
+                            "grid_positions": 10, "d": 2, "budget": 100}),
 }
 
 #: a time series: ``<name>_s`` or ``<name>_s_per_<unit>``
