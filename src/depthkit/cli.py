@@ -87,15 +87,11 @@ def _load(path: str, args) -> Dataset:
     return dataset
 
 
-def _parse_point(text: str, d: int) -> np.ndarray:
+def _parse_point(text: str) -> np.ndarray:
     try:
-        values = [float(c) for c in text.split(",")]
+        return np.array([float(c) for c in text.split(",")])
     except ValueError:
         raise ValueError(f"cannot parse point {text!r}") from None
-    if len(values) != d:
-        raise ValueError(
-            f"point has {len(values)} coordinates, data has dimension {d}")
-    return np.array(values)
 
 
 def _alpha_list(text: str) -> list[float]:
@@ -132,7 +128,7 @@ def _cmd_depth(args) -> int:
     cloud = dataset.cloud
     opts = _options(args)
     if args.point is not None:
-        z = _parse_point(args.point, cloud.d)
+        z = _parse_point(args.point)
         print(f"{spec.evaluate(z, cloud, opts):.9g}")
         return 0
     values = spec.evaluate_many(cloud.points, cloud, opts)

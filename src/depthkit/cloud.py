@@ -105,8 +105,31 @@ class DataCloud:
         if self.d != d:
             raise DimensionMismatchError(f"cloud has dimension {self.d}, expected {d}")
 
-    def point_of(self, z) -> np.ndarray:
-        """Validate a query point against this cloud's dimension."""
+    def rows(self, zs) -> np.ndarray:
+        """A batch of query points as an (m, d) float array, not checked
+        (:meth:`queries` checks it); in d=1 a flat array of m scalars
+        becomes a column."""
+        qs = np.asarray(zs, dtype=float)
+        if self.d == 1 and qs.ndim <= 1:
+            qs = qs.reshape(-1, 1)
+        if qs.ndim != 2:
+            raise DimensionMismatchError(
+                f"query batch has shape {qs.shape}, expected (m, {self.d})"
+            )
+        return qs
+
+    def queries(self, z) -> tuple[np.ndarray, bool]:
+        """(rows, batch), the one check of a query against this cloud: an
+        (m, d) array is a batch of m rows, anything else one point."""
+        if isinstance(z, np.ndarray) and z.ndim == 2:
+            qs = np.asarray(z, dtype=float)
+            if qs.shape[1] != self.d:
+                raise DimensionMismatchError(
+                    f"query batch has shape {qs.shape}, expected (m, {self.d})"
+                )
+            if not np.isfinite(qs).all():
+                raise ValueError("query points must be finite")
+            return qs, True
         q = np.asarray(z, dtype=float).ravel()
         if q.shape[0] != self.d:
             raise DimensionMismatchError(
@@ -115,27 +138,7 @@ class DataCloud:
         # one point's few coordinates test faster one by one than by numpy
         if not all(map(math.isfinite, q.tolist())):
             raise ValueError("query point must be finite")
-        return q
-
-    def points_of(self, zs) -> np.ndarray:
-        """Validate an (m, d) batch of query points; in d=1 a flat array of
-        m scalars is accepted as well."""
-        qs = np.asarray(zs, dtype=float)
-        if self.d == 1 and qs.ndim <= 1:
-            qs = qs.reshape(-1, 1)
-        if qs.ndim != 2 or qs.shape[1] != self.d:
-            raise DimensionMismatchError(
-                f"query batch has shape {qs.shape}, expected (m, {self.d})"
-            )
-        if not np.isfinite(qs).all():
-            raise ValueError("query points must be finite")
-        return qs
-
-    def queries(self, z) -> tuple[np.ndarray, bool]:
-        """(rows, batch): an (m, d) array is a batch of m rows, else one point."""
-        if isinstance(z, np.ndarray) and z.ndim == 2:
-            return self.points_of(z), True
-        return self.point_of(z)[None], False
+        return q[None], False
 
     def translated(self, b) -> "DataCloud":
         b = np.asarray(b, dtype=float).reshape(-1)

@@ -28,7 +28,7 @@ import numpy as np
 from . import core
 from .cloud import DataCloud
 from .core import SIMPLEX_ENUMERATION_CAP  # noqa: F401  (re-exported)
-from .core import check_level, clamp_depths, enumeration_size, in_chunks, point_or_rows
+from .core import check_level, clamp_depths, enumeration_size, in_chunks
 from .errors import DimensionMismatchError
 from .geometry import ConvexRegion, clip_polygon_halfplane, convex_hull, half_turn_order
 from .lp import feasible
@@ -630,8 +630,9 @@ def _simplices_containing(q: np.ndarray, cloud: DataCloud) -> int:
     return count
 
 
-def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
-    """Fraction of closed data simplices (d+1 vertices) containing each row.
+def simplicial_depth(z, cloud: DataCloud):
+    """Fraction of closed data simplices (d+1 vertices) containing one point
+    (a float), or each row of an (m, d) array.
 
     Exact for d <= 4: in d <= 2 it counts the simplices that miss each
     query, vectorised over the queries, in the plane from one angular order
@@ -639,7 +640,7 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
     (:func:`_angular_tables`); beyond, it enumerates them, and raises when
     C(n, d+1) exceeds the enumeration cap.
     """
-    qs = cloud.points_of(zs)
+    qs, batch = cloud.queries(z)
     n, d = cloud.n, cloud.d
     if d > 4:
         raise DimensionMismatchError("simplicial depth enumeration is limited to d <= 4")
@@ -658,9 +659,10 @@ def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
             counts[rows] -= (k * (k - 1) // 2).sum(axis=1)
     else:
         counts = np.array([_simplices_containing(q, cloud) for q in qs], dtype=float)
-    return clamp_depths(counts / total)
+    depths = clamp_depths(counts / total)
+    return depths if batch else float(depths[0])
 
 
-def simplicial_depth(z, cloud: DataCloud):
-    """Simplicial depth of one point (a float), or of each row of an array."""
-    return point_or_rows(simplicial_depth_many, z, cloud)
+def simplicial_depth_many(zs, cloud: DataCloud) -> np.ndarray:
+    """:func:`simplicial_depth` of each row of ``zs``."""
+    return simplicial_depth(cloud.rows(zs), cloud)

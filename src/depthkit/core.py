@@ -58,14 +58,6 @@ def clamp_depths(values: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
-def point_or_rows(kernel, z, cloud: DataCloud, *args):
-    """``kernel(rows, cloud, *args)`` on :meth:`DataCloud.queries` of ``z``:
-    a float for one point, m depths for (m, d) rows."""
-    qs, batch = cloud.queries(z)
-    depths = kernel(qs, cloud, *args)
-    return depths if batch else float(depths[0])
-
-
 def rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """``rows @ mat.T``, summed term by term in a fixed order.
 

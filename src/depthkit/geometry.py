@@ -194,6 +194,8 @@ class ConvexRegion:
         qs = np.asarray(zs, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.dim:
             raise ValueError(f"points of shape {qs.shape} vs region dimension {self.dim}")
+        if not np.isfinite(qs).all():
+            raise ValueError("query points must be finite")
         return qs
 
     def contains(self, z, tol: float = 0.0) -> bool:

@@ -5,9 +5,10 @@ plain or scatter-adjusted metric.  The scatter seam is
 :class:`ScatterEstimator`; the moment estimator (mean and covariance with
 divisor n) is the default and any affine-equivariant replacement plugs in.
 
-Each depth has one kernel, ``<depth>_many``, which validates a batch of
-query rows and evaluates it in chunks under ``core.BATCH_BYTES``; the
-depth's function runs it on one point (a float) or on (m, d) rows alike.
+Each depth is one function of one point (a float) or of (m, d) query rows
+(m depths).  It checks the query once, by ``DataCloud.queries``, and
+evaluates the rows in chunks under ``core.BATCH_BYTES``.  Oja depth keeps
+a batch form, ``oja_depth_many``, which takes rows only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import core
 from .cloud import DataCloud
-from .core import check_level, clamp_depths, enumeration_size, in_chunks, point_or_rows, rows_times
+from .core import check_level, clamp_depths, enumeration_size, in_chunks, rows_times
 from .errors import EnumerationTooLargeError, SingularScatterError, ZeroMadError
 from .geometry import ConvexRegion, half_turn_order
 from .rng import check_budget
@@ -93,32 +94,26 @@ def _mean_distance_depths(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return clamp_depths(in_chunks(block, qs, 24 * pts.size))
 
 
-def l2_depth_many(zs, cloud: DataCloud) -> np.ndarray:
-    """(1 + mean Euclidean distance to the sample)^-1 for each row of ``zs``.
+def l2_depth(z, cloud: DataCloud):
+    """(1 + mean Euclidean distance to the sample)^-1 of one point (a
+    float), or of each row of an (m, d) array.
 
     Invariant under rigid motions but deliberately not under general affine
     maps; see ``affine_invariant_l2_depth`` for the scatter-whitened form.
     """
-    return _mean_distance_depths(cloud.points_of(zs), cloud.points)
-
-
-def l2_depth(z, cloud: DataCloud):
-    """L2 depth of one point (a float), or of each row of an (m, d) array."""
-    return point_or_rows(l2_depth_many, z, cloud)
-
-
-def affine_invariant_l2_depth_many(zs, cloud: DataCloud,
-                                   estimator: ScatterEstimator = MOMENT) -> np.ndarray:
-    """L2 depth in the metric of the estimated scatter, for each row of ``zs``."""
-    qs = cloud.points_of(zs)
-    _, _, chol = estimator.estimate(cloud)
-    white = np.linalg.inv(chol)
-    return _mean_distance_depths(rows_times(qs, white), rows_times(cloud.points, white))
+    qs, batch = cloud.queries(z)
+    depths = _mean_distance_depths(qs, cloud.points)
+    return depths if batch else float(depths[0])
 
 
 def affine_invariant_l2_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
-    """Affine-invariant L2 depth of one point (a float), or of each row."""
-    return point_or_rows(affine_invariant_l2_depth_many, z, cloud, estimator)
+    """L2 depth in the metric of the estimated scatter, of one point (a
+    float), or of each row of an (m, d) array."""
+    qs, batch = cloud.queries(z)
+    _, _, chol = estimator.estimate(cloud)
+    white = np.linalg.inv(chol)
+    depths = _mean_distance_depths(rows_times(qs, white), rows_times(cloud.points, white))
+    return depths if batch else float(depths[0])
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +121,14 @@ def affine_invariant_l2_depth(z, cloud: DataCloud, estimator: ScatterEstimator =
 # ---------------------------------------------------------------------------
 
 
-def mahalanobis_depth_many(zs, cloud: DataCloud,
-                           estimator: ScatterEstimator = MOMENT) -> np.ndarray:
-    """(1 + squared scatter distance to the center)^-1 for each row of ``zs``."""
-    qs = cloud.points_of(zs)
+def mahalanobis_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
+    """(1 + squared scatter distance to the center)^-1 of one point (a
+    float), or of each row of an (m, d) array."""
+    qs, batch = cloud.queries(z)
     center, _, chol = estimator.estimate(cloud)
     w = rows_times(qs - center, np.linalg.inv(chol))
-    return clamp_depths(1.0 / (1.0 + np.sum(w * w, axis=1)))
-
-
-def mahalanobis_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
-    """Mahalanobis depth of one point (a float), or of each row of an array."""
-    return point_or_rows(mahalanobis_depth_many, z, cloud, estimator)
+    depths = clamp_depths(1.0 / (1.0 + np.sum(w * w, axis=1)))
+    return depths if batch else float(depths[0])
 
 
 #: vertices of the polygon that stands for a planar Mahalanobis ellipse
@@ -468,24 +459,20 @@ class ProjectionIndex:
         return out
 
 
-def projection_depth_many(zs, cloud: DataCloud,
-                          direction_budget: int = 1000, seed: int = 0) -> np.ndarray:
-    """(1 + sup over directions of |<p,z> - med| / medMAD)^-1 for each row.
+def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: int = 0):
+    """(1 + sup over directions of |<p,z> - med| / medMAD)^-1 of one point
+    (a float), or of each row of an (m, d) array.
 
     d=1 is exact.  For d >= 2 the supremum is approximated from above by a
     finite direction set, so the returned value is an upper bound on the true
     depth and weakly decreases as ``direction_budget`` grows with the same
     seed.
     """
-    qs = cloud.points_of(zs)
+    qs, batch = cloud.queries(z)
     index = cloud.derived(("projection", direction_budget, seed),
                           lambda c: ProjectionIndex(c, direction_budget, seed))
-    return clamp_depths(1.0 / (1.0 + index.outlyingness(qs)))
-
-
-def projection_depth(z, cloud: DataCloud, direction_budget: int = 1000, seed: int = 0):
-    """Projection depth of one point (a float), or of each row of an array."""
-    return point_or_rows(projection_depth_many, z, cloud, direction_budget, seed)
+    depths = clamp_depths(1.0 / (1.0 + index.outlyingness(qs)))
+    return depths if batch else float(depths[0])
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +567,9 @@ def _oja_expected_volumes(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return total / n**d
 
 
-def oja_depth_many(zs, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> np.ndarray:
-    """(1 + E[simplex volume] / sqrt(det scatter))^-1 for each row.
+def oja_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
+    """(1 + E[simplex volume] / sqrt(det scatter))^-1 of one point (a
+    float), or of each row of an (m, d) array.
 
     The expected volume is a sum over the d-point subsets of the data
     (:func:`_oja_expected_volumes`): exact in d = 1, in the plane summed by
@@ -589,16 +577,17 @@ def oja_depth_many(zs, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -
     query, which agrees with the pair sum to rounding, and for d >= 3
     enumerated under the simplex enumeration cap.
     """
-    qs = cloud.points_of(zs)
+    qs, batch = cloud.queries(z)
     if cloud.n < cloud.d:
         raise ValueError(f"need at least d={cloud.d} points, got n={cloud.n}")
     _, _, chol = estimator.estimate(cloud)
     if cloud.d >= 3:
         enumeration_size(cloud.n, cloud.d)
     root_det = float(np.prod(np.diag(chol)))
-    return clamp_depths(1.0 / (1.0 + _oja_expected_volumes(qs, cloud.points) / root_det))
+    depths = clamp_depths(1.0 / (1.0 + _oja_expected_volumes(qs, cloud.points) / root_det))
+    return depths if batch else float(depths[0])
 
 
-def oja_depth(z, cloud: DataCloud, estimator: ScatterEstimator = MOMENT):
-    """Oja depth of one point (a float), or of each row of an (m, d) array."""
-    return point_or_rows(oja_depth_many, z, cloud, estimator)
+def oja_depth_many(zs, cloud: DataCloud, estimator: ScatterEstimator = MOMENT) -> np.ndarray:
+    """:func:`oja_depth` of each row of ``zs``."""
+    return oja_depth(cloud.rows(zs), cloud, estimator)

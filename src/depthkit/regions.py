@@ -67,8 +67,10 @@ class Ring:
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def contains_point(self, p) -> bool:
-        """Even-odd ray crossing test."""
+        """Even-odd ray crossing test of one point of two finite coordinates."""
         p = np.asarray(p, dtype=float).reshape(-1)
+        if p.shape != (2,) or not np.isfinite(p).all():
+            raise ValueError(f"a ring holds points of two finite coordinates, not {p.tolist()}")
         a = self.vertices
         if a.shape[0] < 3:
             return False

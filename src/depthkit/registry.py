@@ -8,11 +8,13 @@ it is admissible as the building block of the functional depths.
 A depth is one map D(z | X): the registered function returns a float for
 one point and m depths for (m, d) query rows, in one call either way.
 
-* ``evaluate(z)`` hands it one point checked by ``DataCloud.point_of``,
-  and equals ``evaluate_many([z])[0]`` bitwise;
-* ``evaluate_many`` hands it the rows, checked as ``evaluate`` checks a
-  point; beyond arrays of m rows its working set is bounded however large
-  m is (see ``core.BATCH_BYTES``);
+* ``evaluate(z)`` hands it ``z`` flattened to one point, and equals
+  ``evaluate_many([z])[0]`` bitwise;
+* ``evaluate_many`` hands it the rows in (m, d) form (``DataCloud.rows``);
+  beyond arrays of m rows its working set is bounded however large m is
+  (see ``core.BATCH_BYTES``);
+* the registry checks nothing itself: the depth function checks each
+  query once, by ``DataCloud.queries``;
 * :class:`EvalOptions` (seed and direction budget) is the only evaluation
   options object.
 """
@@ -44,11 +46,11 @@ class DepthSpec:
     functional_base: bool = False
 
     def evaluate(self, z, cloud: DataCloud, options: EvalOptions = DEFAULT_OPTIONS) -> float:
-        return self.depth(cloud.point_of(z), cloud, options)
+        return self.depth(np.ravel(z), cloud, options)
 
     def evaluate_many(self, zs, cloud: DataCloud,
                       options: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        return self.depth(cloud.points_of(zs), cloud, options)
+        return self.depth(cloud.rows(zs), cloud, options)
 
     # the name batch evaluation had before it shared one kernel with points
     evaluate_batch = evaluate_many
@@ -58,7 +60,7 @@ class DepthSpec:
         bound, e.g. for the postulate harness."""
 
         def call(z, cloud: DataCloud) -> float:
-            return self.depth(cloud.point_of(z), cloud, options)
+            return self.depth(np.ravel(z), cloud, options)
 
         return call
 

@@ -273,6 +273,8 @@ def wm_region(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> ConvexReg
 
 #: feasibility threshold for spread-normalized support margins
 _WM_MARGIN_TOL = 1e-11
+#: directions of a frame block whose projections are formed and sorted at once
+_SORT_ROWS = 512
 #: bisection steps whose midpoints (2**k - 1 levels in all) the queries of
 #: a batch share: their supports are formed once over a whole frame block
 _SHARED_STEPS = 5
@@ -294,9 +296,15 @@ def _pair_blocks(n: int, size: int):
 
 def _frame_block(cloud: DataCloud, dirs: np.ndarray):
     # fixed-order products: a direction's projections, and a query's, do not
-    # depend on the block they are formed in
+    # depend on the block they are formed in.  They are formed and sorted in
+    # place _SORT_ROWS directions at a time, so that building the block
+    # holds one (directions, n) array, not the products and a sorted copy
     dirs = np.asfortranarray(dirs)
-    proj = np.sort(rows_times(dirs, cloud.points), axis=1)
+    proj = np.empty((dirs.shape[0], cloud.n))
+    for start in range(0, dirs.shape[0], _SORT_ROWS):
+        part = proj[start:start + _SORT_ROWS]
+        part[...] = rows_times(dirs[start:start + _SORT_ROWS], cloud.points)
+        part.sort(axis=1)
     top = proj[:, -1].copy()
     spread = top - proj[:, 0]
     # across a collinear cloud the spread is rounding noise, and margins
@@ -328,8 +336,8 @@ def _frame_blocks(cloud: DataCloud):
         yield _frame_block(cloud, np.array([[1.0], [-1.0]]))
         return
     pts, n = cloud.points, cloud.n
-    # a pair gives four directions of n projections, formed and then sorted
-    # into a copy: 64 n bytes
+    # a pair gives four directions of n sorted projections, 32 n bytes, and
+    # a block keeps to half the budget
     size = max(1, core.BATCH_BYTES // (64 * n))
     shortest = _shortest_pair(cloud)
     for iu, ju in _pair_blocks(n, size):
@@ -503,7 +511,7 @@ def wm_depth(z, cloud: DataCloud, scheme: WeightScheme):
 
 def wm_depth_many(zs, cloud: DataCloud, scheme: WeightScheme) -> np.ndarray:
     """:func:`wm_depth` of each row of ``zs``."""
-    return wm_depth(cloud.points_of(zs), cloud, scheme)
+    return wm_depth(cloud.rows(zs), cloud, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from depthkit.functional import (
     phi_depth,
 )
 from depthkit.geometry import ConvexRegion
-from depthkit.metric import mahalanobis_depth, oja_depth_many, projection_depth_many
+from depthkit.metric import mahalanobis_depth, oja_depth_many, projection_depth
 from depthkit.regions import Ring, region_contours
 from depthkit.registry import EvalOptions, available_depths, get_depth
 from depthkit.weighted import ECH_STAR, GEOMETRIC, ZONOID, wm_depth, wm_region, zonoid_depth
@@ -83,8 +83,8 @@ def test_c02_bundled_outlier_ranking(eu_cloud):
     with criterion("C02 bundled-data outlier ranking"):
         labels = list(eu_cloud.labels)
         t0 = time.perf_counter()
-        proj = projection_depth_many(eu_cloud.points, eu_cloud,
-                                     direction_budget=10000, seed=0)
+        proj = projection_depth(eu_cloud.points, eu_cloud,
+                                direction_budget=10000, seed=0)
         oja = oja_depth_many(eu_cloud.points, eu_cloud)
         elapsed = time.perf_counter() - t0
         for vals in (proj, oja):

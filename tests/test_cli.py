@@ -72,7 +72,7 @@ def test_depth_point_arity_error(capsys):
     rc, out, err = run(capsys, "depth", "mahalanobis", "--data", "eu27",
                        "--point", "1,2,3")
     assert rc == 2
-    assert err.startswith("error: INVALID_ARGUMENT:")
+    assert err.startswith("error: DIMENSION_MISMATCH:")
 
 
 def test_depth_missing_file(capsys, tmp_path):

@@ -62,6 +62,13 @@ def test_depth_from_regions_picks_deepest_level():
     assert depth_from_regions([2.0, 0.0], regions) == 0.0
 
 
+def test_depth_from_regions_refuses_a_non_finite_point():
+    square = ConvexRegion.from_points(
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        depth_from_regions([np.nan, 0.5], {0.5: square})
+
+
 def test_depth_from_regions_rejects_inverted_nesting():
     square = ConvexRegion.from_points(
         np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))

@@ -273,6 +273,22 @@ def test_weighted_mean_frame_stays_within_the_budget(monkeypatch, scheme):
     assert ("wm-frame",) not in cloud._derived
 
 
+def test_weighted_mean_frame_build_holds_one_copy_of_the_projections():
+    # the 80-point frame's 4 C(80, 2) x 80 sorted projections, 8.1 MB, are
+    # formed and sorted in place a few hundred directions at a time, and
+    # each block is bitwise the products sorted row by row
+    cloud = make_cloud(4, 80)
+    tracemalloc.start()
+    try:
+        frame = weighted._wm_support_frame(cloud)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * kept
+    for dirs, proj, _, _ in frame:
+        assert proj.tobytes() == np.sort(core.rows_times(dirs, cloud.points), axis=1).tobytes()
+
+
 @pytest.mark.parametrize("n, kept", [(100, True), (101, False)])
 def test_weighted_mean_state_kept_on_the_cloud_fits_the_budget(n, kept):
     # the frame of 100 points, 16.5 MB, is the largest that is kept; the

@@ -48,6 +48,16 @@ def test_contains_with_tolerance():
     assert r.contains([1.0 + 1e-6, 0.5], tol=1e-5)
 
 
+@pytest.mark.parametrize("point", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]])
+@pytest.mark.parametrize("query", ["contains", "distance", "contains_many", "distance_many"])
+def test_region_queries_refuse_non_finite_points(query, point):
+    # unchecked, a NaN fails every edge test and reads as outside, at distance NaN
+    r = ConvexRegion.from_points(UNIT_SQUARE)
+    z = np.array([point]) if query.endswith("_many") else point
+    with pytest.raises(ValueError, match="finite"):
+        getattr(r, query)(z)
+
+
 def test_hausdorff_intervals():
     a = ConvexRegion.interval(0.0, 1.0)
     b = ConvexRegion.interval(0.0, 2.0)

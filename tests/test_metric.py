@@ -17,14 +17,11 @@ from depthkit.metric import (
     ProjectionIndex,
     affine_invariant_l2_depth,
     l2_depth,
-    l2_depth_many,
     mahalanobis_depth,
-    mahalanobis_depth_many,
     mahalanobis_region,
     oja_depth,
     oja_depth_many,
     projection_depth,
-    projection_depth_many,
 )
 
 PAIR_1D = DataCloud(np.array([0.0, 2.0]))
@@ -44,7 +41,7 @@ def test_mahalanobis_known_1d_value():
 def test_mahalanobis_batch_matches_loop():
     cloud = make_cloud(1, 15)
     zs = make_cloud(2, 8).points
-    batch = mahalanobis_depth_many(zs, cloud)
+    batch = mahalanobis_depth(zs, cloud)
     loop = [mahalanobis_depth(z, cloud) for z in zs]
     assert np.allclose(batch, loop, rtol=1e-12)
 
@@ -58,7 +55,7 @@ def test_mahalanobis_singular_scatter_raises():
 def test_mahalanobis_region_boundary_sits_at_level():
     cloud = make_cloud(3, 25)
     region = mahalanobis_region(cloud, 0.4)
-    values = mahalanobis_depth_many(region.vertices, cloud)
+    values = mahalanobis_depth(region.vertices, cloud)
     assert np.allclose(values, 0.4, atol=1e-9)
     assert region.contains(cloud.mean)
 
@@ -79,7 +76,7 @@ def test_l2_known_values():
 def test_l2_batch_matches_loop():
     cloud = make_cloud(5, 12)
     zs = make_cloud(6, 9).points
-    assert np.allclose(l2_depth_many(zs, cloud),
+    assert np.allclose(l2_depth(zs, cloud),
                        [l2_depth(z, cloud) for z in zs], atol=0, rtol=0)
 
 
@@ -113,8 +110,8 @@ def test_projection_depth_is_free_of_the_scale(scale):
     # and at 1e-12 the MAD guard's floor of 1 raised ZERO_MAD
     pts = np.random.default_rng(3).standard_normal((12, 2))
     base, scaled = DataCloud(pts), DataCloud(pts * scale)
-    expected = metric.projection_depth_many(pts, base)
-    got = metric.projection_depth_many(pts * scale, scaled)
+    expected = metric.projection_depth(pts, base)
+    got = metric.projection_depth(pts * scale, scaled)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
     assert (metric.ProjectionIndex(scaled, 1000, 0).dirs.shape
             == metric.ProjectionIndex(base, 1000, 0).dirs.shape)
@@ -126,10 +123,10 @@ def test_projection_index_without_directions_is_a_coded_error(monkeypatch):
     # and that is refused first, as too large
     pts = np.random.default_rng(3).standard_normal((12, 2))
     with pytest.raises(EnumerationTooLargeError, match="scatter overflows"):
-        metric.projection_depth_many(pts * 1e200, DataCloud(pts * 1e200))
+        metric.projection_depth(pts * 1e200, DataCloud(pts * 1e200))
     monkeypatch.setattr(metric, "_whitened_directions", lambda cloud, *_: np.empty((0, cloud.d)))
     with pytest.raises(ZeroMadError, match="survives whitening"):
-        metric.projection_depth_many(pts, DataCloud(pts))
+        metric.projection_depth(pts, DataCloud(pts))
 
 
 def test_projection_seed_reproducible():
@@ -399,7 +396,7 @@ def test_eu27_frozen_values(eu_cloud):
 
 def test_eu27_projection_frozen_values(eu_cloud):
     labels = list(eu_cloud.labels)
-    vals = projection_depth_many(eu_cloud.points, eu_cloud,
-                                 direction_budget=10000, seed=0)
+    vals = projection_depth(eu_cloud.points, eu_cloud,
+                            direction_budget=10000, seed=0)
     assert vals[labels.index("Spain")] == pytest.approx(0.131660905972, abs=1e-9)
     assert vals[labels.index("Greece")] == pytest.approx(0.138576942170, abs=1e-9)

@@ -63,6 +63,13 @@ def test_ring_degenerate():
     assert not Ring(np.array([[1.0, 2.0], [3.0, 4.0]])).contains_point([2.0, 3.0])
 
 
+@pytest.mark.parametrize("point", [[0.5, 0.5, 99.0], [0.5], [np.nan, 0.5], [0.5, np.inf]])
+def test_ring_refuses_a_point_that_is_not_two_finite_coordinates(point):
+    ring = Ring(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="two finite coordinates"):
+        ring.contains_point(point)
+
+
 # ---------------------------------------------------------------------------
 # marching squares
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The registry's point/batch contract: one depth function per entry.
 
 Every registered depth answers a point with a Python float, whatever form
-the point comes in, and a batch with one call of its function.
+the point comes in, and a batch with one call of its function, and every
+call checks its query once.
 """
 
 import dataclasses
@@ -10,10 +11,22 @@ import numpy as np
 import pytest
 from conftest import make_cloud
 
-from depthkit import weighted
+from depthkit import DataCloud, combinatorial, metric, weighted
 from depthkit.registry import EvalOptions, available_depths, get_depth
 
 OPTIONS = EvalOptions(seed=5, budget=60)
+
+#: every method by which a cloud may check a query; a second gate beside
+#: ``queries`` would check a query a second time
+GATES = ("queries", "point_of", "points_of")
+
+#: the batch forms kept beside the depth functions, which take rows only
+BATCH_FORMS = {
+    "oja": lambda zs, cloud: metric.oja_depth_many(zs, cloud),
+    "simplicial": lambda zs, cloud: combinatorial.simplicial_depth_many(zs, cloud),
+    "echstar": lambda zs, cloud: weighted.wm_depth_many(zs, cloud, weighted.ECH_STAR),
+    "geometric": lambda zs, cloud: weighted.wm_depth_many(zs, cloud, weighted.GEOMETRIC),
+}
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -61,3 +74,35 @@ def test_a_zonoid_batch_reaches_its_module_function_once(monkeypatch):
     values = get_depth("zonoid").evaluate_many(cloud.points, cloud)
     assert calls == [(9, 2)]
     assert values.tolist() == [real(z, cloud) for z in cloud.points]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", available_depths())
+def test_every_call_checks_its_query_once(name, d, monkeypatch):
+    checks = []
+    for gate in GATES:
+        real = getattr(DataCloud, gate, None)
+        if real is not None:
+            def counted(cloud, z, _gate=gate, _real=real):
+                checks.append(_gate)
+                return _real(cloud, z)
+            monkeypatch.setattr(DataCloud, gate, counted)
+    spec = get_depth(name)
+    cloud = make_cloud(7, 12, d)
+    zs = np.vstack([cloud.points[:3], cloud.mean[None] + 0.25])
+    z = zs[3]
+    calls = {
+        "evaluate": lambda: spec.evaluate(z, cloud, OPTIONS),
+        "evaluate_many": lambda: spec.evaluate_many(zs, cloud, OPTIONS),
+        "one-row evaluate_many": lambda: spec.evaluate_many(z[None], cloud, OPTIONS),
+        "evaluator": lambda: spec.evaluator(OPTIONS)(z, cloud),
+        # the entry's function is the public depth function, options bound
+        "point": lambda: spec.depth(z, cloud, OPTIONS),
+        "rows": lambda: spec.depth(zs, cloud, OPTIONS),
+    }
+    if name in BATCH_FORMS:
+        calls["batch form"] = lambda: BATCH_FORMS[name](zs, cloud)
+    for label, call in calls.items():
+        checks.clear()
+        call()
+        assert checks == ["queries"], label

@@ -39,8 +39,9 @@ LAYERS = {
     "wm": ("27,80", ("point_s_per_query", "batch_s_per_query", "frame_kept"),
            ("point_exp", "batch_exp")),
     "dispatch": ("10,27", tuple(f"{name}_{call}{PER_QUERY}" for name in DEPTHS
-                                for call in ("point", "batch")),
-                 tuple(f"{name}_{call}_exp" for name in DEPTHS for call in ("point", "batch"))),
+                                for call in ("point", "row", "batch")),
+                 tuple(f"{name}_{call}_exp" for name in DEPTHS
+                       for call in ("point", "row", "batch"))),
     "fdepth": ("10,30", tuple(f"{call}_{way}_s_per_curve" for call in FDEPTH_CALLS
                               for way in ("loop", "batch")),
                tuple(f"{call}_{way}_exp" for call in FDEPTH_CALLS for way in ("loop", "batch"))),

@@ -62,10 +62,10 @@ The layers, with their default sizes and limit:
     builds the whole frame again.
 ``dispatch`` (10,27,80; 300 s)
     every registered depth per query at 32 queries (16 data points, 16
-    Gaussian draws), by ``DepthSpec.evaluate`` point calls and by one
-    ``evaluate_many`` batch, each run on a fresh cloud with the default
-    ``EvalOptions``; 10, 27 and 80 are the sizes of the benchmark's
-    post10, eu27 and g80 clouds.
+    Gaussian draws), by ``DepthSpec.evaluate`` point calls, by one-row
+    ``evaluate_many(z[None])`` calls and by one ``evaluate_many`` batch,
+    each run on a fresh cloud with the default ``EvalOptions``; 10, 27 and
+    80 are the sizes of the benchmark's post10, eu27 and g80 clouds.
 ``fdepth`` (10,30,80,160; 300 s)
     ``graph_depth`` and ``grid_depth`` per query curve, with the halfspace
     and the projection base (``EvalOptions`` budget 100, seed 0), on a
@@ -319,8 +319,13 @@ for spec in map(get_depth, DEPTHS):
         for z in zs:
             spec.evaluate(z, fresh)
 
+    def row_calls():
+        fresh = DataCloud(pts)
+        for z in zs:
+            spec.evaluate_many(z[None], fresh)
+
     row += tuple(best(run)[0] / len(zs) for run in (
-        point_calls, lambda: spec.evaluate_many(zs, DataCloud(pts))))
+        point_calls, row_calls, lambda: spec.evaluate_many(zs, DataCloud(pts))))
 """
 
 FDEPTH_CALLS = tuple(f"{kind}_{base}" for kind in ("graph", "grid")
@@ -382,7 +387,8 @@ LAYERS = {
                 fields={"queries": "16 data points and 16 Gaussian draws per cloud",
                         "scheme": "echstar"}),
     "dispatch": Layer(DISPATCH, _per_query(*(f"{name.replace('-', '_')}_{call}"
-                                             for name in DEPTHS for call in ("point", "batch"))),
+                                             for name in DEPTHS
+                                             for call in ("point", "row", "batch"))),
                       "10,27,80", 300.0,
                       fields={"queries": "16 data points and 16 Gaussian draws per cloud"}),
     "fdepth": Layer(FDEPTH, tuple(f"{call}_{way}_s_per_curve" for call in FDEPTH_CALLS
