@@ -13,9 +13,13 @@ triangles that miss it.  A query where two directions from it come within
 rounding of one line is resolved by the full n x n table of those sides,
 for both.  In d = 1 both reduce the data points strictly below and above
 the query, compared exactly.  Tukey regions intersect the finitely many
-binding halfplanes; random Tukey depth counts the data's sides on seeded
-directions, for a batch from the data's projections sorted once;
-simplicial depth in d >= 3 enumerates closed simplices.
+binding halfplanes: in general position those on the lines through two data
+points with k - 1 or k - 2 points beyond, read from one table of pair
+counts per cloud (the same angular orders, about each data point); with
+duplicates or three points on a line, every critical halfplane.  Random
+Tukey depth counts the data's sides on seeded directions, for a batch from
+the data's projections sorted once; simplicial depth in d >= 3 enumerates
+closed simplices.
 """
 
 from __future__ import annotations
@@ -307,36 +311,23 @@ def _cutting(poly: np.ndarray, normals: np.ndarray, h: np.ndarray, tol: float) -
     return reach >= tol - _CLEAR_REL * (np.abs(poly).max() + np.abs(h))
 
 
-def _keeps_outside(poly: np.ndarray, u: np.ndarray, h: float, tol: float) -> bool:
-    """Whether :func:`clip_polygon_halfplane` keeps a vertex of ``poly``
-    that lies outside the line (within ``tol``).  Only then can it put a
-    crossing off its edge: next to a cut vertex, the crossing lands beyond
-    the kept one, so the clipped polygon can reach past ``poly``."""
-    vals = poly @ u - h
-    return bool(np.any((vals > 0.0) & (vals <= tol)))
-
-
 def _clip_by_cutting(poly: np.ndarray, normals: np.ndarray, h: np.ndarray,
                      tol: float) -> np.ndarray:
     """``poly`` clipped by each halfplane {z : <u, z> <= h} in turn, calling
     :func:`clip_polygon_halfplane` only for those that may cut it.
 
-    A clip that keeps no vertex outside the line puts its crossings on the
-    polygon's edges and only shrinks it, so a halfplane that the polygon
-    clears stays cleared: after such a clip only the halfplanes still
-    flagged are tested again, and after any other every later one is.  A
-    skipped clip would have returned the polygon unchanged, so the result
-    is bitwise that of every clip in turn.
+    A clip puts its crossings on the polygon's edges and only shrinks it,
+    so a halfplane that the polygon clears stays cleared: after each clip
+    only the halfplanes still flagged are tested again.  A skipped clip
+    would have returned the polygon unchanged, so the result is bitwise
+    that of every clip in turn.
     """
     live = np.flatnonzero(_cutting(poly, normals, h, tol))
     while live.size:
         i, live = live[0], live[1:]
-        u, bound = normals[i], float(h[i])
-        clipped = clip_polygon_halfplane(poly, u, bound, tol)
+        clipped = clip_polygon_halfplane(poly, normals[i], float(h[i]), tol)
         if clipped is poly:
             continue
-        if _keeps_outside(poly, u, bound, tol):
-            live = np.arange(i + 1, h.shape[0])
         poly = clipped
         if poly.shape[0] == 0:
             break
@@ -360,15 +351,98 @@ def _halfplane_bounds(normals: np.ndarray, pts: np.ndarray, k: int):
         yield u, np.partition(u @ pts.T, n - k, axis=1)[:, n - k].copy()
 
 
+#: the table's halfplanes keep a vertex that lies outside by at most this
+#: share of the box's largest coordinate, 16 unit roundoffs: above the
+#: rounding of a crossing, so that a level that is a point or a segment
+#: does not come out empty
+_PAIR_CLIP_REL = 2.0**-49
+
+
+def _pair_counts(cloud: DataCloud):
+    """The (n, n) int32 table r[i, j] of the data points strictly right of
+    the directed line x_i -> x_j (n on the diagonal), or None when some
+    data point sees a near-tie (:func:`_angular_order`): duplicates, or
+    three points within rounding of one line.
+
+    Right of x_i -> x_j is left of x_j -> x_i, which is ``left[j, i]`` of
+    the angular order about x_j: O(n^2 log n) for the table, under the
+    near-tie rule of the depth.  Queries go in chunks under
+    ``core.BATCH_BYTES``.
+    """
+    pts, n = cloud.points, cloud.n
+    tol = _BOUNDARY_REL_TOL * cloud.extent
+    step = max(1, core.BATCH_BYTES // (_ANGLE_ENTRY_BYTES * n))
+    counts = np.empty((n, n), dtype=np.int32)
+    for start in range(0, n, step):
+        left, _, ties = _angular_order(pts - pts[start:start + step, None], tol)
+        if ties.size:
+            return None
+        counts[:, start:start + step] = left.T
+    np.fill_diagonal(counts, n)
+    counts.setflags(write=False)
+    return counts
+
+
+def _pair_counts_of(cloud: DataCloud):
+    """:func:`_pair_counts`, kept on the cloud when the n x n table fits
+    ``core.BATCH_BYTES`` (n <= 2048 at the default budget; 25 KB at
+    n = 80), so that every level of a ladder reads it."""
+    if 4 * cloud.n * cloud.n <= core.BATCH_BYTES:
+        return cloud.derived(("tukey-pairs",), _pair_counts)
+    return _pair_counts(cloud)
+
+
+def _pair_halfplanes(pts: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """(normals, bounds) of the closed halfplanes left of the directed
+    lines x_i -> x_j.  The bound is the larger of the two points'
+    projections, which is the k-th largest projection on the normal when
+    k - 1 points lie strictly beyond; each is formed coordinate by
+    coordinate, with no BLAS product whose rounding follows the number of
+    lines."""
+    d = pts[j] - pts[i]
+    normals = np.column_stack([d[:, 1], -d[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    u0, u1 = normals[:, 0], normals[:, 1]
+    bounds = np.maximum(u0 * pts[i, 0] + u1 * pts[i, 1], u0 * pts[j, 0] + u1 * pts[j, 1])
+    return normals, bounds
+
+
+def _padded_box(pts: np.ndarray, pad: float) -> np.ndarray:
+    """The bounding box of ``pts`` widened by ``pad`` on each side,
+    counter-clockwise."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    return np.array([
+        [lo[0] - pad, lo[1] - pad],
+        [hi[0] + pad, lo[1] - pad],
+        [hi[0] + pad, hi[1] + pad],
+        [lo[0] - pad, hi[1] + pad],
+    ])
+
+
 def tukey_region_2d(cloud: DataCloud, alpha: float) -> ConvexRegion:
     """Upper level set {z : halfspace depth >= alpha} of a planar cloud.
 
-    With k = ceil(n alpha), the region is the intersection over the critical
-    directions u (normals of pairwise differences) of the halfplanes
-    {z : <u, z> <= k-th largest projection}; a padded bounding box is clipped
-    by each halfplane in turn, skipping those that cannot cut it.  The
-    projections are formed in blocks of halfplanes under
-    ``core.BATCH_BYTES``.  May be empty, a point, or a segment.
+    With k = ceil(n alpha), a padded bounding box is clipped by halfplanes
+    that hold the region, skipping those that cannot cut it.  May be
+    empty, a point, or a segment.
+
+    A cloud without a near-tie (no duplicates, no three points within
+    rounding of one line; :func:`_pair_counts`) reads its halfplanes from
+    one table of pair counts, built once per cloud.  As the normal turns,
+    the point whose projection is k-th largest changes where it meets the
+    next one, on a line through two data points with k - 1 points strictly
+    beyond (the region's edges lie there; Ruts & Rousseeuw 1996) or k - 2
+    (the region lies strictly inside those).  Between two such normals the
+    halfplanes turn about one point, so these lines' closed halfplanes
+    bound the region exactly: the box is clipped by those with k - 1
+    beyond, then by those with k - 2, which cut only a level that is
+    empty.  The box's padding and the clip's tolerance follow the cloud's
+    scale, so a vertex lies outside no such halfplane by more than rounding.
+
+    Any other cloud clips by every critical halfplane {z : <u, z> <= k-th
+    largest projection}, u a normal of a pairwise difference, with the
+    projections formed in blocks of halfplanes under ``core.BATCH_BYTES``;
+    a cloud on one line gives the trimmed segment.
     """
     cloud.require_dim(2)
     n = cloud.n
@@ -385,23 +459,23 @@ def tukey_region_2d(cloud: DataCloud, alpha: float) -> ConvexRegion:
         lo, hi = span
         return ConvexRegion.from_points(np.array([center + lo * axis, center + hi * axis]))
 
-    iu, ju = np.triu_indices(n, k=1)
-    diffs = pts[iu] - pts[ju]
-    keep = np.linalg.norm(diffs, axis=1) > tol
-    diffs = diffs[keep]
-    normals = np.column_stack([-diffs[:, 1], diffs[:, 0]])
-    normals = np.vstack([normals, -normals])
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    pad = 0.5 * max(float(np.max(hi - lo)), 1.0)
-    poly = np.array([
-        [lo[0] - pad, lo[1] - pad],
-        [hi[0] + pad, lo[1] - pad],
-        [hi[0] + pad, hi[1] + pad],
-        [lo[0] - pad, hi[1] + pad],
-    ])
-    for u, h in _halfplane_bounds(normals, pts, k):
+    counts = _pair_counts_of(cloud)
+    if counts is not None:
+        poly = _padded_box(pts, 0.5 * cloud.extent)
+        tol = _PAIR_CLIP_REL * float(np.abs(poly).max())
+        blocks = (_pair_halfplanes(pts, *np.nonzero(counts == beyond))
+                  for beyond in (k - 1, k - 2))
+    else:
+        poly = _padded_box(pts, 0.5 * max(cloud.extent, 1.0))
+        iu, ju = np.triu_indices(n, k=1)
+        diffs = pts[iu] - pts[ju]
+        keep = np.linalg.norm(diffs, axis=1) > tol
+        diffs = diffs[keep]
+        normals = np.column_stack([-diffs[:, 1], diffs[:, 0]])
+        normals = np.vstack([normals, -normals])
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        blocks = _halfplane_bounds(normals, pts, k)
+    for u, h in blocks:
         poly = _clip_by_cutting(poly, u, h, tol)
         if poly.shape[0] == 0:
             return ConvexRegion.empty(2)

@@ -328,8 +328,12 @@ class ConvexRegion:
 def clip_polygon_halfplane(verts: np.ndarray, u: np.ndarray, h: float, tol: float = 0.0) -> np.ndarray:
     """Clip a convex polygon (vertex list) by the halfplane {z : <u, z> <= h}.
 
-    Standard single-plane Sutherland-Hodgman step.  Returns the possibly
-    empty clipped vertex array; the caller re-canonicalizes.
+    Standard single-plane Sutherland-Hodgman step.  A vertex within ``tol``
+    outside the line is kept, and a crossing next to it is taken at its end
+    of the edge (the parameter is clamped to [0, 1]), so every crossing lies
+    on its edge and the clipped polygon never reaches past ``verts``.
+    Returns the possibly empty clipped vertex array; the caller
+    re-canonicalizes.
     """
     m = verts.shape[0]
     if m == 0:
@@ -340,13 +344,16 @@ def clip_polygon_halfplane(verts: np.ndarray, u: np.ndarray, h: float, tol: floa
         return verts
     if not np.any(inside):
         return verts[:0]
+    # rows of Python floats: the same IEEE arithmetic as numpy scalars, at a
+    # fraction of the cost per operation
+    rows, vals, inside = verts.tolist(), vals.tolist(), inside.tolist()
     out = []
     for i in range(m):
         j = (i + 1) % m
         if inside[i]:
-            out.append(verts[i])
+            out.append(rows[i])
         if inside[i] != inside[j]:
             denom = vals[i] - vals[j]
-            t = vals[i] / denom if denom != 0.0 else 0.5
-            out.append(verts[i] + t * (verts[j] - verts[i]))
+            t = min(max(vals[i] / denom, 0.0), 1.0) if denom != 0.0 else 0.5
+            out.append([a + t * (b - a) for a, b in zip(rows[i], rows[j])])
     return np.array(out)

@@ -1,25 +1,36 @@
 """Exact planar regions against the loops they replaced.
 
-``oracle_tukey_region`` clips the padded box by every halfplane in turn, as
-``tukey_region_2d`` did before it skipped the halfplanes that cannot cut,
-with all projections formed in one product.  ``oracle_wm_region`` orders
-the sample afresh for every level.  The array code must give bitwise the
-same vertices.  Both oracles and the code under test form projections as
-BLAS products of blocks of at least two directions; on the clouds here
-such products round alike whatever the block size.
+``oracle_tukey_region`` clips the padded box by every critical halfplane in
+turn, as ``tukey_region_2d`` did before it skipped the halfplanes that
+cannot cut, with all projections formed in one product.  A cloud with a
+near-tie or on one line still takes that path, and must give bitwise the
+same vertices.  A cloud in general position reads its halfplanes from the
+table of pair counts: its region must lie within 1e-9 of the extent of the
+loop's, or of the exact region (``exact_tukey_regions``, in rational
+arithmetic) for the small named clouds, and inside every closed halfplane
+that a line through two data points bounds with at most k - 1 points
+strictly beyond (``pair_halfplane_oracle``, which counts the sides by cross
+products).
+``oracle_wm_region`` orders the sample afresh for every level, and the
+array code must give bitwise the same vertices.  Both oracles and the code
+under test form projections as BLAS products of blocks of at least two
+directions; on the clouds here such products round alike whatever the
+block size.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import make_cloud
+from conftest import benchmark_gaussian, make_cloud
 
 from depthkit import combinatorial, core
 from depthkit.cloud import DataCloud
 from depthkit.combinatorial import (
     _collinear_frame,
     _level_count,
+    _pair_counts,
     _trimmed_span,
     _clip_by_cutting,
     _halfplane_bounds,
@@ -91,6 +102,92 @@ def assert_bitwise(got, want):
     assert np.array_equal(got.vertices.view(np.int64), want.vertices.view(np.int64))
 
 
+def takes_pair_table(cloud):
+    """Whether ``tukey_region_2d`` reads the cloud's halfplanes from the
+    table of pair counts: off one line, and without a near-tie."""
+    return _collinear_frame(cloud.points, 1e-12) is None and _pair_counts(cloud) is not None
+
+
+def pair_halfplane_oracle(pts):
+    """Each directed line x_i -> x_j through two data points (i != j): x_i,
+    its unit direction and the data points strictly right of it, from one
+    cross product per (line, point), O(n^3)."""
+    n = pts.shape[0]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    d = pts[j] - pts[i]
+    rel = pts[None] - pts[i][:, None]
+    cross = d[:, None, 0] * rel[..., 1] - d[:, None, 1] * rel[..., 0]
+    return pts[i], d / np.hypot(d[:, 0], d[:, 1])[:, None], (cross < 0.0).sum(axis=1)
+
+
+def sound_slack(cloud):
+    """1e-13 of the extent, plus the rounding of the coordinates, which is
+    far below that for a cloud near the origin."""
+    return 1e-13 * cloud.extent + 4 * np.spacing(np.abs(cloud.points).max())
+
+
+def assert_sound(region, k, halfplanes, slack):
+    """Every vertex of the level-k region lies within ``slack`` of each
+    closed halfplane left of a line with at most k - 1 points beyond: no
+    such halfplane holds fewer than n - k + 1 points."""
+    if region.is_empty:
+        return
+    base, unit, beyond = halfplanes
+    held = beyond <= k - 1
+    rel = region.vertices[None] - base[held][:, None]
+    left = unit[held, None, 0] * rel[..., 1] - unit[held, None, 1] * rel[..., 0]
+    assert left.min() >= -slack, (k, -left.min() / slack)
+
+
+def assert_close_and_sound(cloud, k, got, halfplanes, want=None):
+    """``got`` lies within 1e-9 of the extent of ``want`` (the clip loop's
+    region by default) and is sound."""
+    if want is None:
+        want = oracle_tukey_region(cloud, k / cloud.n)
+    assert got.is_empty == want.is_empty, k
+    if not want.is_empty:
+        assert got.hausdorff(want) <= 1e-9 * cloud.extent, k
+    assert_sound(got, k, halfplanes, sound_slack(cloud))
+
+
+def exact_tukey_regions(pts):
+    """Every level k = 1..n of the cloud, in rational arithmetic: a box
+    about the points clipped by each closed halfplane left of a line
+    x_i -> x_j with at most k - 1 points strictly right of it, with the
+    vertices rounded at the end."""
+    pts = [tuple(map(Fraction, p)) for p in pts.tolist()]
+    n = len(pts)
+
+    def left_of(a, b):
+        return lambda z: (b[0] - a[0]) * (z[1] - a[1]) - (b[1] - a[1]) * (z[0] - a[0])
+
+    lines = [left_of(pts[i], pts[j]) for i in range(n) for j in range(n) if i != j]
+    beyond = [sum(side(z) < 0 for z in pts) for side in lines]
+    xs, ys = zip(*pts)
+    pad = max(max(xs) - min(xs), max(ys) - min(ys))
+    box = [(min(xs) - pad, min(ys) - pad), (max(xs) + pad, min(ys) - pad),
+           (max(xs) + pad, max(ys) + pad), (min(xs) - pad, max(ys) + pad)]
+    regions = []
+    for k in range(1, n + 1):
+        poly = box
+        for side, count in zip(lines, beyond):
+            if count > k - 1 or not poly:
+                continue
+            vals = [side(z) for z in poly]
+            out = []
+            for s in range(len(poly)):
+                t = (s + 1) % len(poly)
+                if vals[s] >= 0:
+                    out.append(poly[s])
+                if (vals[s] >= 0) != (vals[t] >= 0):
+                    w = vals[s] / (vals[s] - vals[t])
+                    out.append(tuple(p + w * (q - p) for p, q in zip(poly[s], poly[t])))
+            poly = out
+        regions.append(ConvexRegion.from_points(np.array(poly, dtype=float)) if poly
+                       else ConvexRegion.empty(2))
+    return regions
+
+
 def _clouds():
     rng = np.random.default_rng(11)
     base = rng.standard_normal((16, 2))
@@ -117,18 +214,81 @@ CLOUDS = _clouds()
 # ---------------------------------------------------------------------------
 
 
+#: the named clouds in general position, which are held to the exact
+#: region: the clip loop's tolerance and padding do not scale with the
+#: cloud, and its regions lie up to 3.6e-9 (translated) and 2.5e-4 (scaled)
+#: of the extent from the exact ones.  (On those two clouds the hull's
+#: collinearity threshold, which does not scale either, drops vertices of
+#: every region alike.)  The others have a near-tie (duplicates, or three
+#: points within rounding of one line) or lie on one line.
+TABLE_CLOUDS = {"gaussian", "translated", "scaled"}
+
+
 @pytest.mark.parametrize("name", sorted(CLOUDS))
 def test_tukey_region_matches_the_clip_loop_at_every_level(name):
     cloud = DataCloud(CLOUDS[name])
+    assert takes_pair_table(cloud) == (name in TABLE_CLOUDS)
+    if name in TABLE_CLOUDS:
+        halfplanes = pair_halfplane_oracle(cloud.points)
+        exact = exact_tukey_regions(cloud.points)
     for k in range(1, cloud.n + 1):
-        assert_bitwise(tukey_region_2d(cloud, k / cloud.n), oracle_tukey_region(cloud, k / cloud.n))
+        got = tukey_region_2d(cloud, k / cloud.n)
+        if name in TABLE_CLOUDS:
+            assert_close_and_sound(cloud, k, got, halfplanes, exact[k - 1])
+        else:
+            assert_bitwise(got, oracle_tukey_region(cloud, k / cloud.n))
 
 
 @pytest.mark.parametrize("seed, n", [(0, 27), (1, 40), (2, 80)])
 def test_tukey_region_matches_the_clip_loop_on_random_clouds(seed, n):
     cloud = make_cloud(seed, n)
+    assert takes_pair_table(cloud)
+    halfplanes = pair_halfplane_oracle(cloud.points)
     for k in range(1, n // 2 + 2, 3):
-        assert_bitwise(tukey_region_2d(cloud, k / n), oracle_tukey_region(cloud, k / n))
+        assert_close_and_sound(cloud, k, tukey_region_2d(cloud, k / n), halfplanes)
+
+
+def _sound_clouds():
+    clouds = {f"make_cloud({s}, {n})": make_cloud(s, n).points
+              for s in range(6) for n in (27, 40, 80)}
+    clouds.update({f"benchmark_gaussian({s}, 80)": benchmark_gaussian(s, 80)
+                   for s in (1, 2, 3)})
+    return clouds
+
+
+SOUND_CLOUDS = _sound_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(SOUND_CLOUDS))
+def test_tukey_region_lies_in_every_halfplane_of_its_level(name):
+    # a vertex outside such a halfplane has depth below the level; the
+    # clip loop over every critical halfplane leaves some outside by up to
+    # 1.8e-12 of the extent (make_cloud(3, 80) at k = 2), as a clip that
+    # keeps a vertex within its tolerance outside lets later crossings
+    # drift along its edge
+    cloud = DataCloud(SOUND_CLOUDS[name])
+    halfplanes = pair_halfplane_oracle(cloud.points)
+    for k in range(1, cloud.n // 3 + 1):
+        region = tukey_region_2d(cloud, k / cloud.n)
+        assert not region.is_empty
+        assert_sound(region, k, halfplanes, 1e-13 * cloud.extent)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 27), (3, 80), (5, 13)])
+def test_pair_counts_are_the_points_right_of_each_line(monkeypatch, seed, n):
+    cloud = make_cloud(seed, n)
+    _, _, beyond = pair_halfplane_oracle(cloud.points)
+    want = np.full((n, n), n, dtype=np.int32)
+    want[~np.eye(n, dtype=bool)] = beyond
+    tukey_region_2d(cloud, 0.2)
+    kept = cloud._derived[("tukey-pairs",)]
+    assert np.array_equal(kept, want) and not kept.flags.writeable
+    # one query row per chunk, and a table too large to keep
+    monkeypatch.setattr(core, "BATCH_BYTES", 4 * n * n - 1)
+    fresh = DataCloud(cloud.points)
+    assert np.array_equal(_pair_counts(fresh), want)
+    assert_bitwise(tukey_region_2d(fresh, 0.2), tukey_region_2d(cloud, 0.2))
+    assert ("tukey-pairs",) not in fresh._derived
 
 
 @pytest.mark.parametrize("name", ["gaussian", "duplicates", "lattice", "translated"])
@@ -144,7 +304,8 @@ def test_tukey_region_does_not_depend_on_the_block_size(monkeypatch, name, plane
 
 def test_tukey_region_clips_by_few_of_its_halfplanes(monkeypatch):
     # 6320 critical halfplanes, nearly all of which cut the padded box; the
-    # sequential loop called the clip once for each
+    # sequential loop called the clip once for each, and the pair table
+    # offers only the lines with k - 1 or k - 2 points beyond
     cloud = make_cloud(2, 80)
     want = oracle_tukey_region(cloud, 0.2)
     calls = []
@@ -154,7 +315,7 @@ def test_tukey_region_clips_by_few_of_its_halfplanes(monkeypatch):
         return clip_polygon_halfplane(*args)
 
     monkeypatch.setattr(combinatorial, "clip_polygon_halfplane", counting_clip)
-    assert_bitwise(tukey_region_2d(cloud, 0.2), want)
+    assert tukey_region_2d(cloud, 0.2).hausdorff(want) <= 1e-9 * cloud.extent
     assert 0 < len(calls) < 0.05 * 6320
 
 
@@ -207,18 +368,33 @@ def test_a_halfplane_that_cuts_by_less_than_the_rounding_bound_is_clipped():
     assert np.array_equal(got, want)
 
 
-def test_a_crossing_pushed_out_of_its_edge_tests_every_later_halfplane_again():
-    # (1.05, 0) is kept within tol of x <= 1 next to the cut (1.2, 1), so the
-    # crossing lands at (1, -1/3), past the polygon's bottom edge: y >= -0.1
-    # cleared the polygon before the first clip and cuts it after
+def test_a_clip_stays_within_the_polygon_it_was_cut_from():
+    # (1.05, 0) is kept within tol of x <= 1 next to the cut (1.2, 1): the
+    # crossing is taken at the kept end of that edge, not at (1, -1/3) past
+    # the polygon's bottom edge, so y >= -0.1 clears the clipped polygon too
     tol = 0.1
     poly = np.array([[0.0, 0.0], [1.05, 0.0], [1.2, 1.0], [0.0, 1.0]])
     normals, bounds = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.1])
-    want = poly
-    for u, h in zip(normals, bounds):
-        want = clip_polygon_halfplane(want, u, float(h), tol)
-    assert want[:, 1].min() == pytest.approx(-0.1)
+    want = clip_polygon_halfplane(poly, normals[0], float(bounds[0]), tol)
+    assert want[:, 1].min() == 0.0
+    assert ConvexRegion(2, poly).contains_many(want, tol=1e-15).all()
+    assert clip_polygon_halfplane(want, normals[1], float(bounds[1]), tol) is want
     assert np.array_equal(_clip_by_cutting(poly, normals, bounds, tol), want)
+
+
+def test_clipped_polygons_never_reach_past_the_polygon():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        poly = convex_hull(rng.standard_normal((8, 2)))
+        angle = rng.uniform(0.0, 2 * np.pi)
+        u = np.array([np.cos(angle), np.sin(angle)])
+        # bounds that leave vertices just outside, within the tolerance
+        tol = 0.05
+        h = float(rng.choice(poly @ u)) - rng.uniform(0.0, tol)
+        clipped = clip_polygon_halfplane(poly, u, h, tol)
+        if clipped.shape[0]:
+            assert ConvexRegion(2, poly).contains_many(clipped, tol=1e-12).all()
+            assert (clipped @ u).max() <= h + tol
 
 
 def test_clipping_skips_only_halfplanes_that_cannot_cut():

@@ -36,9 +36,10 @@ The layers, with their default sizes and limit:
 ``region`` (27,80,160,400; 300 s)
     per level, ``tukey_region_2d`` at alpha 0.1, 0.2 and 0.3 and
     ``wm_region_2d`` with the ECH* scheme at 0.1, 0.5 and 0.9 (on a fresh
-    cloud for each ladder, so what the cloud keeps is built once per
-    ladder); per layer, ``export_region_json`` of a document of those
-    regions; and the ``tracemalloc`` peak of one ``tukey_region_2d`` at 0.2.
+    cloud for each run of a ladder, so what the cloud keeps, such as the
+    Tukey pair counts, is built and timed once per ladder); per layer,
+    ``export_region_json`` of a document of those regions; and the
+    ``tracemalloc`` peak of one ``tukey_region_2d`` at 0.2 on a fresh cloud.
 ``sweep`` (27,80,400,1600; 120 s)
     planar halfspace depth per point call at 64 seeded queries and
     ``simplicial_depth_many`` per query over a 32 x 32 grid on the data box,
@@ -217,11 +218,15 @@ pts = planar()
 cloud = DataCloud(pts)
 TUKEY, ECH = (0.1, 0.2, 0.3), (0.1, 0.5, 0.9)
 
+def tukey_ladder():
+    fresh = DataCloud(pts)
+    return [tukey_region_2d(fresh, a) for a in TUKEY]
+
 def ech_ladder():
     fresh = DataCloud(pts)
     return [wm_region_2d(fresh, ECH_STAR, a) for a in ECH]
 
-tukey_s, tukey = best(lambda: [tukey_region_2d(cloud, a) for a in TUKEY])
+tukey_s, tukey = best(tukey_ladder)
 ech_s, ech = best(ech_ladder)
 layers = tuple(ContourLayer(a, (r.vertices,)) for a, r in zip(TUKEY + ECH, tukey + ech)
                if r.vertices.shape[0] > 2)
@@ -231,7 +236,7 @@ with tempfile.TemporaryDirectory() as tmp:
     json_s, _ = best(lambda: export_region_json(doc, path))
     json_bytes = os.path.getsize(path)
 tracemalloc.start()
-tukey_region_2d(cloud, 0.2)
+tukey_region_2d(DataCloud(pts), 0.2)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 vertices = sum(layer.rings[0].shape[0] for layer in layers)
