@@ -7,6 +7,16 @@ linear maps (full affine, orthogonal, or positive scaling), vanishing at
 infinity, weak decrease along rays from the deepest point, and quasiconcavity
 via a midpoint test.  Closedness of upper level sets is a structural property
 of the region algorithms and is reported as such rather than sampled.
+
+Two memory budgets bound the kernels.  ``CHUNK_BYTES`` (1 MiB) caps one
+chunk of query rows in :func:`in_chunks`, whose callers treat each row on
+its own with no BLAS product (L2, Oja, the equal-row count, region
+containment and distance), so a chunk's temporaries stay near the size of
+a core's L2 cache and the chunk size cannot move a value.
+``BATCH_BYTES`` (16 MiB) bounds the state kept on a cloud and the
+direction and halfplane blocks that one BLAS product forms (the sign
+counts, the halfplane bounds, the projection index build); it also caps
+``CHUNK_BYTES`` when set lower.
 """
 
 from __future__ import annotations
@@ -27,8 +37,13 @@ DepthEvaluator = Callable[[np.ndarray, DataCloud], float]
 
 _VARIANTS = {"affine": "D2", "isometric": "D2iso", "scale": "D2sca"}
 
-#: working set a batch kernel may hold for one chunk of query rows
+#: memory bound of the state kept on a cloud and of the direction and
+#: halfplane blocks that a BLAS product forms at once
 BATCH_BYTES = 16 * 2**20
+#: working set of one chunk of query rows in :func:`in_chunks`: about the
+#: per-core L2 cache, so a chunk's temporaries stay in cache and are reused
+#: by the allocator rather than handed back to the OS and faulted in again
+CHUNK_BYTES = 2**20
 #: most simplices (or point subsets) a depth may enumerate per query
 SIMPLEX_ENUMERATION_CAP = 2_000_000
 
@@ -75,10 +90,12 @@ def in_chunks(block: Callable[[np.ndarray], np.ndarray], qs: np.ndarray,
     """``block`` applied to consecutive row chunks of ``qs``, concatenated
     into an array of ``dtype``.
 
-    A chunk holds as many rows as fit ``BATCH_BYTES`` at ``row_bytes`` of
-    working set per row, and at least one.
+    A chunk holds as many rows as fit ``CHUNK_BYTES`` (or ``BATCH_BYTES``,
+    if that is smaller) at ``row_bytes`` of working set per row, and at
+    least one.  ``block`` must treat each row on its own, with no BLAS
+    product, so that the chunk size cannot move a value.
     """
-    rows = max(1, BATCH_BYTES // max(1, row_bytes))
+    rows = max(1, min(CHUNK_BYTES, BATCH_BYTES) // max(1, row_bytes))
     out = np.empty(qs.shape[0], dtype=dtype)
     for start in range(0, qs.shape[0], rows):
         out[start:start + rows] = block(qs[start:start + rows])

@@ -63,6 +63,26 @@ def convex_hull(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def convex_ring_hull(ring: np.ndarray) -> np.ndarray:
+    """``convex_hull(ring)`` of a counter-clockwise ring of at least three
+    points, read off the ring when it turns left by more than the hull's
+    ``eps`` at every vertex.
+
+    Then the monotone chain keeps every vertex: a triangle of two
+    consecutive vertices and any third has at least the area of the turn
+    at one of the two, so no vertex is popped, and the hull is the ring
+    from its lexicographically smallest vertex.  Otherwise it is traced.
+    """
+    eps = 1e-12 * _coord_scale(ring) ** 2
+    o, b = np.roll(ring, 1, axis=0), np.roll(ring, -1, axis=0)
+    # cross(o, a, b) of the hull, at each vertex a with its neighbours
+    turn = ((ring[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1])
+            - (ring[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0]))
+    if not np.all(turn > eps):
+        return convex_hull(ring, eps)
+    return np.roll(ring, -int(np.lexsort((ring[:, 1], ring[:, 0]))[0]), axis=0)
+
+
 def half_turn_order(x: np.ndarray, y: np.ndarray, last: np.ndarray | None = None):
     """The planar directions (x, y), (m, n), sorted row by row on one
     half-turn.
@@ -210,7 +230,7 @@ class ConvexRegion:
         A polygon holds the points that every edge has on its left, up to
         ``tol`` times the edge's length; a point or segment region holds the
         points within ``tol`` of it.  Rows are evaluated in chunks under
-        ``core.BATCH_BYTES``.
+        ``core.CHUNK_BYTES``.
         """
         qs = self._rows(zs)
         if self.is_empty:
@@ -243,7 +263,7 @@ class ConvexRegion:
 
         It is 0 inside a polygon and the least distance to an edge outside;
         a point or a segment is a polygon with degenerate edges.  Rows are
-        evaluated in chunks under ``core.BATCH_BYTES``.
+        evaluated in chunks under ``core.CHUNK_BYTES``.
         """
         if self.is_empty:
             raise EmptyRegionError("distance to an empty region")

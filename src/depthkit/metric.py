@@ -6,9 +6,10 @@ plain or scatter-adjusted metric.  The scatter seam is
 divisor n) is the default and any affine-equivariant replacement plugs in.
 
 Each depth is one function of one point (a float) or of (m, d) query rows
-(m depths).  It checks the query once, by ``DataCloud.queries``, and
-evaluates the rows in chunks under ``core.BATCH_BYTES``.  Oja depth keeps
-a batch form, ``oja_depth_many``, which takes rows only.
+(m depths).  It checks the query once, by ``DataCloud.queries``.  L2 and
+Oja depth evaluate the rows in cache-sized chunks (``core.in_chunks``);
+the projection index is built in blocks under ``core.BATCH_BYTES``.  Oja
+depth keeps a batch form, ``oja_depth_many``, which takes rows only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import core
 from .cloud import DataCloud
 from .core import check_level, clamp_depths, enumeration_size, in_chunks, rows_times
 from .errors import EnumerationTooLargeError, SingularScatterError, ZeroMadError
-from .geometry import ConvexRegion, half_turn_order
+from .geometry import ConvexRegion, convex_ring_hull, half_turn_order
 from .rng import check_budget
 
 
@@ -78,12 +79,36 @@ MOMENT = ScatterEstimator("moment", _moment_rule)
 # ---------------------------------------------------------------------------
 
 
+#: from this many coordinates numpy sums a row of squares pairwise, not in
+#: coordinate order, so the distances keep its reduce there
+_PAIRWISE_COORDS = 8
+
+
+def _distances(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(k, n) Euclidean distances from the rows of ``q`` to the points,
+    bitwise ``np.linalg.norm(q[:, None] - pts, axis=2)``.
+
+    Below ``_PAIRWISE_COORDS`` coordinates the reduce sums the squares in
+    coordinate order, so one (k, n) array accumulates them coordinate by
+    coordinate; from there on the (k, n, d) differences are formed and
+    reduced as the norm does.
+    """
+    if pts.shape[1] >= _PAIRWISE_COORDS:
+        return np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2)
+    sq = np.zeros((q.shape[0], pts.shape[0]))
+    for c in range(pts.shape[1]):
+        off = q[:, c, None] - pts[:, c]
+        off *= off
+        sq += off
+    return np.sqrt(sq, out=sq)
+
+
 def _mean_distance_depths(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     def block(q):
-        # the norms square the differences; where that overflows, the
-        # distances are refused rather than read as infinite
+        # the distances square the differences; where that overflows, they
+        # are refused rather than read as infinite
         with np.errstate(over="ignore"):
-            dist = np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2).mean(axis=1)
+            dist = _distances(q, pts).mean(axis=1)
         if not np.isfinite(dist).all():
             raise EnumerationTooLargeError(
                 "coordinates too large: the squared differences of the L2 "
@@ -91,7 +116,11 @@ def _mean_distance_depths(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
             )
         return 1.0 / (1.0 + dist)
 
-    return clamp_depths(in_chunks(block, qs, 24 * pts.size))
+    # per (query, point): the squares, one coordinate's differences and the
+    # distance; from _PAIRWISE_COORDS coordinates on, the d differences
+    d = pts.shape[1]
+    row_bytes = 24 * pts.shape[0] * (d if d >= _PAIRWISE_COORDS else 1)
+    return clamp_depths(in_chunks(block, qs, row_bytes))
 
 
 def l2_depth(z, cloud: DataCloud):
@@ -141,7 +170,10 @@ def mahalanobis_region(cloud: DataCloud, alpha: float,
 
     The boundary is ||z - c||^2 = 1/alpha - 1 in the scatter metric, so the
     polygon is the cholesky image of a regular circle scaled by the radius.
-    In d=1 the region is the exact interval.
+    The factor has a positive diagonal, so the image turns counter-clockwise
+    as the circle does, and its hull is read off it unless a turn is within
+    the hull's tolerance (:func:`geometry.convex_ring_hull`).  In d=1 the
+    region is the exact interval.
     """
     alpha = check_level(alpha)
     center, _, chol = estimator.estimate(cloud)
@@ -155,7 +187,7 @@ def mahalanobis_region(cloud: DataCloud, alpha: float,
         return ConvexRegion.single(center)
     theta = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_VERTICES, endpoint=False)
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
-    return ConvexRegion.from_points(center + radius * (circle @ chol.T))
+    return ConvexRegion(2, convex_ring_hull(center + radius * (circle @ chol.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +546,7 @@ def _oja_angular_sums(qs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     cumulative sum of the offsets, negated on the lower half-turn, gives
     every S_i.  |det| is continuous, so a pair whose order rounding may
     swap changes the sum only at rounding level; an a_i of 0 adds 0.
-    Queries go in chunks under ``core.BATCH_BYTES``.
+    Queries go in chunks under ``core.CHUNK_BYTES``.
     """
 
     def block(q):

@@ -12,7 +12,7 @@ one point and m depths for (m, d) query rows, in one call either way.
   ``evaluate_many([z])[0]`` bitwise;
 * ``evaluate_many`` hands it the rows in (m, d) form (``DataCloud.rows``);
   beyond arrays of m rows its working set is bounded however large m is
-  (see ``core.BATCH_BYTES``);
+  (see ``core.CHUNK_BYTES`` and ``core.BATCH_BYTES``);
 * the registry checks nothing itself: the depth function checks each
   query once, by ``DataCloud.queries``;
 * :class:`EvalOptions` (seed and direction budget) is the only evaluation

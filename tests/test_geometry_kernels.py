@@ -311,13 +311,23 @@ def _polygon(m, seed=0):
 
 
 def test_chunks_do_not_change_answers(monkeypatch):
-    region = _polygon(40)
-    zs = np.random.default_rng(1).uniform(-1.5, 1.5, (300, 2))
-    whole = (region.contains_many(zs, 1e-3), region.distance_many(zs))
-    monkeypatch.setattr(core, "BATCH_BYTES", 64)
-    chunked = (region.contains_many(zs, 1e-3), region.distance_many(zs))
-    assert np.array_equal(whole[0], chunked[0])
-    assert whole[1].tobytes() == chunked[1].tobytes()
+    # a 64 x 64 grid at the default chunks, under a lower BATCH_BYTES (which
+    # caps the chunks too), in one-row chunks, and with every budget at
+    # 2**40 (the grid one chunk)
+    axes = np.linspace(-1.5, 1.5, 64), np.linspace(-0.75, 0.75, 64)
+    zs = np.stack(np.meshgrid(*axes), -1).reshape(-1, 2)
+    budgets = ({"BATCH_BYTES": 64}, {"CHUNK_BYTES": 1},
+               {"CHUNK_BYTES": 2**40, "BATCH_BYTES": 2**40})
+    for region in (_polygon(40), ConvexRegion.from_points([[0.0, 0.0], [1.0, 0.5]]),
+                   ConvexRegion.single([0.25, 0.0])):
+        whole = (region.contains_many(zs, 1e-3), region.distance_many(zs))
+        for budget in budgets:
+            with monkeypatch.context() as patch:
+                for name, value in budget.items():
+                    patch.setattr(core, name, value)
+                chunked = (region.contains_many(zs, 1e-3), region.distance_many(zs))
+            assert np.array_equal(whole[0], chunked[0])
+            assert whole[1].tobytes() == chunked[1].tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["contains_many", "distance_many"])

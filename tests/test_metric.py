@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cloud
-from depthkit import DataCloud, core, metric
+from depthkit import DataCloud, core, geometry, metric
 from depthkit.combinatorial import SIMPLEX_ENUMERATION_CAP
 from depthkit.errors import EnumerationTooLargeError, SingularScatterError, ZeroMadError
+from depthkit.geometry import convex_hull
 from depthkit.core import in_chunks, rows_times
 from depthkit.metric import (
     MOMENT,
@@ -60,6 +62,45 @@ def test_mahalanobis_region_boundary_sits_at_level():
     assert region.contains(cloud.mean)
 
 
+def _moment_ellipses():
+    """Clouds of 30 points with eccentricity up to 1e8, scale 1e-6 to 1e6,
+    any orientation, centred at the origin or far from it."""
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        stretch = [1.0, 10.0 ** -rng.uniform(0.0, 8.0)]
+        turn = rng.uniform(0.0, np.pi)
+        rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        shift = rng.uniform(-1e3, 1e3, 2) * rng.integers(0, 2)
+        yield DataCloud((rng.standard_normal((30, 2)) * stretch @ rot.T + shift) * scale)
+
+
+def test_mahalanobis_region_is_bitwise_the_hull_of_its_ellipse(monkeypatch):
+    # the polygon is read off the ellipse where every turn clears the
+    # hull's tolerance, and traced by the hull elsewhere: both give the
+    # vertices the hull of the ellipse's points gives
+    theta = np.linspace(0.0, 2.0 * np.pi, metric.ELLIPSE_VERTICES, endpoint=False)
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    traced = []
+    monkeypatch.setattr(geometry, "convex_hull",
+                        lambda pts, eps=None: traced.append(1) or convex_hull(pts, eps))
+    regions = 0
+    for cloud in _moment_ellipses():
+        try:
+            center, _, chol = MOMENT.estimate(cloud)
+        except SingularScatterError:
+            continue
+        for alpha in (0.05, 0.4, 0.95):
+            radius = math.sqrt(1.0 / alpha - 1.0)
+            ring = center + radius * (circle @ chol.T)
+            want = convex_hull(ring)
+            got = mahalanobis_region(cloud, alpha).vertices
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            regions += 1
+    # both ways are taken, each many times
+    assert 50 < len(traced) < regions - 50
+
+
 def test_mahalanobis_region_nesting():
     cloud = make_cloud(4, 25)
     outer = mahalanobis_region(cloud, 0.2)
@@ -78,6 +119,30 @@ def test_l2_batch_matches_loop():
     zs = make_cloud(6, 9).points
     assert np.allclose(l2_depth(zs, cloud),
                        [l2_depth(z, cloud) for z in zs], atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_l2_distances_are_bitwise_the_norm_of_the_differences(d, scale):
+    # the mean of the (m, n) norms of the (m, n, d) differences, as the
+    # kernel once formed them; below 8 coordinates the kernel sums the
+    # squares coordinate by coordinate, from 8 on numpy sums them pairwise
+    rng = np.random.default_rng(d)
+    pts = (rng.standard_normal((23, d)) + rng.uniform(-4.0, 4.0, d)) * scale
+    zs = rng.standard_normal((150, d)) * (3.0 * scale)
+    want = np.linalg.norm(zs[:, None, :] - pts[None, :, :], axis=2).mean(axis=1)
+    assert metric._distances(zs, pts).mean(axis=1).tobytes() == want.tobytes()
+    want = np.minimum(np.maximum(1.0 / (1.0 + want), 0.0), 1.0)
+    assert l2_depth(zs, DataCloud(pts)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_l2_distances_that_overflow_are_refused_without_a_warning(d):
+    pts = np.random.default_rng(d).standard_normal((12, d)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnumerationTooLargeError, match="overflow"):
+            l2_depth(pts, DataCloud(pts))
 
 
 def test_affine_l2_whitens():

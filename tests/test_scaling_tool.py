@@ -1,7 +1,7 @@
 """The scaling tool, ``tools/scaling.py``: every layer at two small sizes.
 
 Each run starts one fresh interpreter per size, as the tool does for any
-record; the sizes are those of the CI tools smoke, about 12 s in all.
+record; the sizes are those of the CI tools smoke, about 17 s in all.
 """
 
 import json
@@ -18,6 +18,7 @@ TOOL = ROOT / "tools" / "scaling.py"
 
 PER_QUERY = "_s_per_query"
 DEPTHS = tuple(name.replace("-", "_") for name in available_depths())
+GRID_DEPTHS = ("l2", "l2_affine", "oja", "simplicial", "projection")
 FDEPTH_CALLS = ("graph_halfspace", "graph_projection", "grid_halfspace", "grid_projection")
 LAYERS = {
     "index": ("27,100", ("directions", "build_s", "outlyingness_s_per_query",
@@ -42,6 +43,9 @@ LAYERS = {
                                 for call in ("point", "row", "batch")),
                  tuple(f"{name}_{call}_exp" for name in DEPTHS
                        for call in ("point", "row", "batch"))),
+    "grid": ("27,80", tuple(f"{name}_s_per_node" for name in GRID_DEPTHS)
+             + ("marching_squares_s_per_level", "svg_s_per_layer", "layers", "vertices"),
+             tuple(f"{name}_exp" for name in GRID_DEPTHS) + ("marching_squares_exp", "svg_exp")),
     "fdepth": ("10,30", tuple(f"{call}_{way}_s_per_curve" for call in FDEPTH_CALLS
                               for way in ("loop", "batch")),
                tuple(f"{call}_{way}_exp" for call in FDEPTH_CALLS for way in ("loop", "batch"))),

@@ -75,6 +75,15 @@ The layers, with their default sizes and limit:
     run on a fresh sample.  The child asserts that the batch is bitwise
     the per-curve calls; the batch is null for a ``depthkit`` whose depths
     take one curve only.  30 is the size of the benchmark's walk2d sample.
+``grid`` (27,80,160,400; 300 s)
+    ``regions._grid_field`` per node of the 256 x 256 grid of a traced
+    region ladder, for l2, l2-affine, oja, simplicial and projection, each
+    on a fresh cloud whose kept state (the projection index) is built
+    before the timing; ``regions.marching_squares`` per level, at 0.2,
+    0.4, 0.6 and 0.8 of each field's maximum; and ``svg.render_svg`` per
+    layer, of one document per depth with those levels' rings.  The child
+    asserts that every 8th node of each field is bitwise the same when
+    evaluated again in one-row chunks (``core.CHUNK_BYTES`` = 1).
 """
 
 from __future__ import annotations
@@ -364,6 +373,45 @@ for call in CALLS:
 """
 
 
+#: the depths without an exact region, whose ladders trace a grid field
+GRID_DEPTHS = ("l2", "l2-affine", "oja", "simplicial", "projection")
+
+GRID = f"DEPTHS = {GRID_DEPTHS!r}\n" + """
+from depthkit import DataCloud, core, regions
+from depthkit.registry import get_depth
+from depthkit.svg import ContourDocument, ContourLayer, render_svg
+pts = planar()
+side = regions.DEFAULT_GRID_RESOLUTION
+SHARES = (0.2, 0.4, 0.6, 0.8)
+row, traced = (), []
+for spec in map(get_depth, DEPTHS):
+    cloud = DataCloud(pts)
+    spec.evaluate_many(cloud.points, cloud)
+    batch = lambda qs: spec.evaluate_many(qs, cloud)
+    field_s, (xs, ys, field) = best(lambda: regions._grid_field(cloud, batch, side))
+    # every 8th node again, in one-row chunks
+    gx, gy = np.meshgrid(xs, ys)
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])[::8]
+    chunk = getattr(core, "CHUNK_BYTES", None)
+    core.CHUNK_BYTES = 1
+    again = batch(nodes)
+    core.CHUNK_BYTES = chunk
+    assert again.tobytes() == field.ravel()[::8].tobytes()
+    levels = [share * float(field.max()) for share in SHARES]
+    traced.append((xs, ys, field, levels))
+    row += (field_s / field.size,)
+march_s, ladders = best(lambda: [[regions.marching_squares(xs, ys, field, a) for a in levels]
+                                  for xs, ys, field, levels in traced])
+docs = [ContourDocument("scaling", tuple(ContourLayer(a, tuple(r.vertices for r in rings))
+                                         for a, rings in zip(levels, ladder) if rings), pts)
+        for (_, _, _, levels), ladder in zip(traced, ladders)]
+svg_s, _ = best(lambda: [render_svg(doc) for doc in docs])
+layers = sum(len(doc.layers) for doc in docs)
+vertices = sum(r.shape[0] for doc in docs for layer in doc.layers for r in layer.rings)
+row += (march_s / (len(DEPTHS) * len(SHARES)), svg_s / layers, layers, vertices)
+"""
+
+
 def _per_query(*paths: str) -> tuple[str, ...]:
     return tuple(f"{path}_s_per_query" for path in paths)
 
@@ -401,6 +449,11 @@ LAYERS = {
                     "10,30,80,160", 300.0,
                     fields={"queries": "the first 8 sample curves",
                             "grid_positions": 10, "d": 2, "budget": 100}),
+    "grid": Layer(GRID, tuple(f"{name.replace('-', '_')}_s_per_node" for name in GRID_DEPTHS)
+                  + ("marching_squares_s_per_level", "svg_s_per_layer", "layers", "vertices"),
+                  "27,80,160,400", 300.0,
+                  fields={"grid": "256 x 256 nodes over the data box padded by 10 %",
+                          "levels": "0.2, 0.4, 0.6 and 0.8 of each field's maximum"}),
 }
 
 #: a time series: ``<name>_s`` or ``<name>_s_per_<unit>``
