@@ -9,6 +9,7 @@ An empty region carries zero vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,19 @@ def convex_hull(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     if len(pts) <= 1:
         return pts.copy()
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     def build(seq):
         out = []
+        pop, push = out.pop, out.append
         for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= eps:
-                out.pop()
-            out.append(p)
+            px, py = p
+            while len(out) > 1:
+                ox, oy = out[-2]
+                ax, ay = out[-1]
+                # cross(o, a, p), inline: a call per triple costs more
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > eps:
+                    break
+                pop()
+            push(p)
         return out
 
     # rows of Python floats: the same IEEE arithmetic as numpy scalars, at a
@@ -63,24 +68,113 @@ def convex_hull(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def convex_ring_hull(ring: np.ndarray) -> np.ndarray:
-    """``convex_hull(ring)`` of a counter-clockwise ring of at least three
-    points, read off the ring when it turns left by more than the hull's
-    ``eps`` at every vertex.
+#: :func:`convex_ring_hull` traces a ring, rather than reduce it, where
+#: sqrt(eps), the farthest the reduction may move the boundary, exceeds
+#: this share of the ring's extent
+_RING_RESOLUTION = 1e-3
 
-    Then the monotone chain keeps every vertex: a triangle of two
-    consecutive vertices and any third has at least the area of the turn
-    at one of the two, so no vertex is popped, and the hull is the ring
-    from its lexicographically smallest vertex.  Otherwise it is traced.
+
+def convex_ring_hull(ring: np.ndarray) -> np.ndarray:
+    """The convex polygon of a counter-clockwise ring of support points of
+    a convex set, such as a polygonized ellipse or the weighted means of a
+    sample in the angular order of their directions, from its
+    lexicographically smallest vertex.
+
+    A ring that turns left by more than the hull's ``eps`` at every vertex
+    and winds round once is its own hull: a triangle of two consecutive
+    vertices and any third has at least the area of the turn at one of the
+    two, so the monotone chain pops no vertex, and the result is bitwise
+    ``convex_hull(ring)``.
+
+    Any other ring loses its exact repeats and, by :func:`_reduced_ring`,
+    the points where it turns by at most ``eps``.  Every vertex is then a
+    point of the ring, every turn exceeds ``eps``, and every ring point
+    lies within sqrt(eps) of the polygon, as far as the hull's own test
+    may move the boundary where it drops a point.  ``convex_hull`` traces
+    the ring instead when fewer than three points remain, when no turn
+    clears ``eps`` (coincident or collinear points), when sqrt(eps)
+    exceeds ``_RING_RESOLUTION`` of the ring's extent (coordinates far from
+    the origin for the ring's size), when the reduction would move the
+    boundary further, or when the reduced ring does not wind round once.
     """
     eps = 1e-12 * _coord_scale(ring) ** 2
-    o, b = np.roll(ring, 1, axis=0), np.roll(ring, -1, axis=0)
-    # cross(o, a, b) of the hull, at each vertex a with its neighbours
-    turn = ((ring[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1])
-            - (ring[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0]))
-    if not np.all(turn > eps):
+    x, y = ring[:, 0], ring[:, 1]
+    at = np.arange(ring.shape[0])
+    # exact consecutive duplicates, cyclically
+    at = _reduced_ring(x, y, at[(x != x[at - 1]) | (y != y[at - 1])], eps)
+    if at is None:
         return convex_hull(ring, eps)
-    return np.roll(ring, -int(np.lexsort((ring[:, 1], ring[:, 0]))[0]), axis=0)
+    # the lexicographically smallest vertex: the first of least y among
+    # those of least x
+    xs = x[at]
+    least = np.flatnonzero(xs == xs.min())
+    return ring[np.roll(at, -int(least[np.argmin(y[at[least]])]))]
+
+
+def _ring_turns(x: np.ndarray, y: np.ndarray, at: np.ndarray, idx: np.ndarray):
+    """At each vertex a = ``at[i]`` of a ring, i in ``idx``, with its
+    neighbours o = ``at[i - 1]`` and b = ``at[i + 1]`` (cyclically): the
+    hull's cross(o, a, b), and the distance from a to the segment o b."""
+    o, b = at.take(idx - 1, mode="wrap"), at.take(idx + 1, mode="wrap")
+    xo, yo = x[o], y[o]
+    ax, ay, bx, by = x[at[idx]] - xo, y[at[idx]] - yo, x[b] - xo, y[b] - yo
+    turn = ax * by - ay * bx
+    chord = bx * bx + by * by
+    t = (ax * bx + ay * by) / np.where(chord > 0.0, chord, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    return turn, np.hypot(ax - t * bx, ay - t * by)
+
+
+def _reduced_ring(x: np.ndarray, y: np.ndarray, at: np.ndarray, eps: float):
+    """The positions ``at`` of a ring less the points where it turns by at
+    most ``eps``, or None where the ring is to be traced by the hull.
+
+    Dropping a point a between o and b moves the boundary by its distance
+    to the segment o b, and the points dropped before next to it by as
+    much at most.  Each round drops every other point of each run of such
+    points whose distance fits in what is left of sqrt(eps) after the
+    largest distance of each earlier round, so that a dropped point keeps
+    both its neighbours, whose turns the next round measures again.  A
+    point that does not fit, such as the tip of a sliver, stays until its
+    neighbours are far enough for it to turn by more than ``eps``.
+    """
+    room = math.sqrt(eps)
+    coarse = room > _RING_RESOLUTION * max(float(np.ptp(x)), float(np.ptp(y)))
+    pos = np.arange(at.shape[0])
+    turn, off = _ring_turns(x, y, at, pos)
+    while at.shape[0] >= 3:
+        flat = turn <= eps
+        if not flat.any():
+            return at if _turns_once(x[at], y[at]) else None
+        if coarse or flat.all():
+            return None
+        flat &= off <= room
+        if not flat.any():
+            return None
+        # the offset of each point in its run, cyclically: a run through
+        # the end of the ring counts from its last start
+        begins = flat & ~flat[pos - 1]
+        first = np.maximum.accumulate(
+            np.where(begins, pos, pos[begins][-1] - pos.shape[0]))
+        drop = flat & ((pos - first) % 2 == 0)
+        room -= float(off[drop].max())
+        # only the neighbours of a dropped point turn anew
+        near = drop[pos - 1] | drop.take(pos + 1, mode="wrap")
+        keep = ~drop
+        at, turn, off, near = at[keep], turn[keep], off[keep], near[keep]
+        pos = pos[:at.shape[0]]
+        idx = np.flatnonzero(near)
+        turn[idx], off[idx] = _ring_turns(x, y, at, idx)
+    return None
+
+
+def _turns_once(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether a ring that turns left at every vertex winds round once:
+    its exterior angles sum to 2 pi, not to a multiple of it."""
+    ex, ey = np.diff(x, append=x[0]), np.diff(y, append=y[0])
+    before = np.arange(-1, x.shape[0] - 1)
+    px, py = ex[before], ey[before]
+    return abs(np.arctan2(px * ey - py * ex, px * ex + py * ey).sum() - 2.0 * np.pi) < np.pi
 
 
 def half_turn_order(x: np.ndarray, y: np.ndarray, last: np.ndarray | None = None):

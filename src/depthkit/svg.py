@@ -104,10 +104,19 @@ def _data_bounds(doc: ContourDocument):
     return lo - 0.05 * span, hi + 0.05 * span
 
 
-def _to_px(p: np.ndarray, lo, hi) -> list[list[float]]:
+def _to_px(p: np.ndarray, lo, hi) -> np.ndarray:
     """Pixel coordinates [x, y] of an (m, 2) array of data points."""
     u = (p - lo) / (hi - lo) * [_WIDTH - 2 * _MARGIN - _LEGEND_WIDTH, _HEIGHT - 2 * _MARGIN]
-    return np.column_stack([_MARGIN + u[:, 0], _HEIGHT - _MARGIN - u[:, 1]]).tolist()
+    return np.column_stack([_MARGIN + u[:, 0], _HEIGHT - _MARGIN - u[:, 1]])
+
+
+def _ring_points(px: np.ndarray) -> str:
+    """The ``points`` text of an (m, 2) array of pixel coordinates: the
+    pairs ``_fmt(x),_fmt(y)`` joined by spaces, formatted by one ``%``
+    call.  ``%.2f`` writes a value as ``f"{v:.2f}"`` does, and a ``-0.00``
+    in it is always a whole value, which ``_fmt`` writes as ``0.00``."""
+    text = ("%.2f,%.2f " * px.shape[0]) % tuple(px.ravel().tolist())
+    return text[:-1].replace("-0.00", "0.00")
 
 
 def render_svg(doc: ContourDocument) -> str:
@@ -124,12 +133,11 @@ def render_svg(doc: ContourDocument) -> str:
     for rank, layer in enumerate(doc.layers):
         color = _ramp_color(rank, total)
         for ring in layer.rings:
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}"
-                           for x, y in _to_px(ring, lo, hi))
+            pts = _ring_points(_to_px(ring, lo, hi))
             parts.append(
                 f'<polygon points="{pts}" fill="{color}" fill-opacity="0.85" '
                 f'stroke="#123e82" stroke-width="0.8"/>')
-    for i, (x, y) in enumerate(_to_px(doc.points, lo, hi)):
+    for i, (x, y) in enumerate(_to_px(doc.points, lo, hi).tolist()):
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.4" '
                      f'fill="#111111"/>')
         if doc.show_labels and doc.labels is not None:

@@ -6,7 +6,10 @@ level alpha is the convex set whose support function in direction p is the
 w-weighted mean of the projections sorted ascending; equivalently it is the
 convex hull of the weighted means over all orderings of the sample.  Regions
 shrink as alpha grows whenever the prefix sums of the weights grow with
-alpha, which all three built-in schemes satisfy.
+alpha, which all three built-in schemes satisfy.  In the plane only the
+orderings along the n(n - 1) angular intervals between critical directions
+count, and in the angular order their means are a counter-clockwise ring of
+support points, off which :func:`wm_region_2d` reads the polygon.
 
 Depth is sup{alpha : z in region(alpha)}, of one point (a float) or of
 each row of an (m, d) array.  In d <= 2, :func:`wm_depth` reads membership
@@ -29,7 +32,7 @@ from . import core
 from .cloud import DataCloud
 from .core import check_level, clamp_depth, rows_times
 from .errors import DimensionMismatchError, EnumerationTooLargeError, InvalidAlphaError
-from .geometry import ConvexRegion
+from .geometry import ConvexRegion, convex_ring_hull
 from .lp import solve_lp
 
 _FLOOR_GUARD = 1e-9
@@ -251,16 +254,22 @@ def wm_region_2d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> Convex
     The ordering of the projections is constant between consecutive critical
     directions (the normals of pairwise difference vectors).  Evaluating the
     weighted mean of the correspondingly ordered sample at one direction per
-    angular interval produces every extreme point; the convex hull of those
-    weighted means is the region.  The ordered samples depend on the cloud
-    alone (see :func:`_ordered_of`); a level only weighs them.
+    angular interval produces every extreme point.  In the angular order of
+    the intervals the means support the region in turn, counter-clockwise,
+    so :func:`geometry.convex_ring_hull` reads the polygon off that ring
+    instead of tracing the hull of all of them.  The ordered samples depend
+    on the cloud alone (see :func:`_ordered_of`); a level only weighs them.
     """
     cloud.require_dim(2)
     w = weights(scheme, cloud.n, alpha)
-    verts = [np.einsum("j,kjd->kd", w, ordered) for ordered in _ordered_of(cloud)]
-    if not verts:
+    # the leading zero weights add nothing (the zonoid's, below rank
+    # n - n alpha): each mean is summed over the ranks from the first
+    # nonzero weight on, bitwise the sum over all ranks
+    j0 = int(np.argmax(w != 0.0))
+    means = [np.einsum("j,kjd->kd", w[j0:], ordered[:, j0:]) for ordered in _ordered_of(cloud)]
+    if not means:
         return ConvexRegion.single(cloud.points[0])
-    return ConvexRegion.from_points(np.concatenate(verts))
+    return ConvexRegion(2, convex_ring_hull(np.concatenate(means)))
 
 
 def wm_region(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> ConvexRegion:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from depthkit import DataCloud, eu27
+from depthkit.geometry import ConvexRegion, convex_hull
 
 
 def make_cloud(seed: int, n: int, d: int = 2) -> DataCloud:
@@ -37,6 +38,33 @@ def linprog_zonoid_depth(q, pts) -> float:
                   b_eq=np.r_[z, 1.0], bounds=(0.0, None), method="highs")
     assert res.status in (0, 2), res.message
     return 1.0 / (n * res.fun) if res.status == 0 else 0.0
+
+
+def assert_ring_polygon(got: np.ndarray, ring: np.ndarray, extent: float) -> None:
+    """``got``, the polygon ``geometry.convex_ring_hull`` made of ``ring``,
+    against ``convex_hull(ring)``.
+
+    Every vertex is a point of the ring.  A polygon that is not the hull
+    turns left by more than the hull's eps at every vertex, from its
+    lexicographically smallest one.  Every ring point lies within the
+    larger of the hull's own farthest distance and sqrt(eps) of the
+    polygon, and the Hausdorff distance to the hull is at most 1e-6 of
+    ``extent``.
+    """
+    hull = convex_hull(ring)
+    points = {row.tobytes() for row in ring}
+    assert all(v.tobytes() in points for v in got)
+    if got.shape == hull.shape and got.tobytes() == hull.tobytes():
+        return
+    eps = 1e-12 * max(1.0, float(np.max(np.abs(ring)))) ** 2
+    o, b = np.roll(got, 1, axis=0), np.roll(got, -1, axis=0)
+    turn = (got[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (got[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+    assert got.shape[0] >= 3 and np.all(turn > eps)
+    assert tuple(got[0]) == min(map(tuple, got))
+    polygon, traced = ConvexRegion(2, got), ConvexRegion(2, hull)
+    farthest = polygon.distance_many(ring).max()
+    assert farthest <= max(traced.distance_many(ring).max(), np.sqrt(eps))
+    assert polygon.hausdorff(traced) <= 1e-6 * extent
 
 
 def pytest_terminal_summary(terminalreporter):

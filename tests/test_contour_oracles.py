@@ -26,6 +26,7 @@ from depthkit.svg import (
     _LEGEND_WIDTH,
     _MARGIN,
     _ramp_color,
+    _ring_points,
     _WIDTH,
     _json_text,
     document_from_contours,
@@ -480,3 +481,29 @@ def test_document_with_negative_zero_coordinates_matches_reference(tmp_path):
     assert_documents_match_reference(doc, tmp_path)
     payload = document_payload(doc)
     assert np.signbit(payload["points"][1][1]) and np.signbit(payload["layers"][1]["polygons"][0][0][0])
+
+
+def _per_vertex_points(px):
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in px.tolist())
+
+
+def test_ring_points_write_negative_zeros_as_the_per_vertex_formatter():
+    # every value in (-0.005, 0] formats as 0.00, as do -0.0 and the
+    # largest double below 0.005 in magnitude; -0.005 itself rounds to -0.01
+    small = np.array([-0.0, 0.0, -1e-300, -0.001, -0.0049, np.nextafter(-0.005, 0.0), -0.005,
+                      -10.004, -100.0049, 0.004, 719.995, -5e-324])
+    px = np.column_stack([small, small[::-1]])
+    assert _ring_points(px) == _per_vertex_points(px)
+    assert "-0.00" not in _ring_points(px)
+    assert _ring_points(px[:0]) == ""
+
+
+_pixels = (st.floats(-0.005, 0.0, exclude_min=True) | st.floats(-1e4, 1e4)
+           | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_pixels, _pixels), min_size=1, max_size=12))
+def test_ring_points_are_the_per_vertex_formatter(pairs):
+    px = np.array(pairs, dtype=float)
+    assert _ring_points(px) == _per_vertex_points(px)

@@ -11,11 +11,13 @@ arithmetic) for the small named clouds, and inside every closed halfplane
 that a line through two data points bounds with at most k - 1 points
 strictly beyond (``pair_halfplane_oracle``, which counts the sides by cross
 products).
-``oracle_wm_region`` orders the sample afresh for every level, and the
-array code must give bitwise the same vertices.  Both oracles and the code
-under test form projections as BLAS products of blocks of at least two
-directions; on the clouds here such products round alike whatever the
-block size.
+``oracle_wm_means`` orders the sample afresh for every level and weighs
+every rank: the weighted means the array code reads its polygon off must
+be bitwise the same, and the polygon bitwise ``convex_ring_hull`` of them.
+That polygon is held to the hull of the means by ``assert_ring_polygon``.
+Both oracles and the code under test form projections as BLAS products of
+blocks of at least two directions; on the clouds here such products round
+alike whatever the block size.
 """
 
 import tracemalloc
@@ -23,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import benchmark_gaussian, make_cloud
+from conftest import assert_ring_polygon, benchmark_gaussian, make_cloud
 
-from depthkit import combinatorial, core
+from depthkit import combinatorial, core, geometry, weighted
 from depthkit.cloud import DataCloud
 from depthkit.combinatorial import (
     _collinear_frame,
@@ -36,8 +38,16 @@ from depthkit.combinatorial import (
     _halfplane_bounds,
     tukey_region_2d,
 )
-from depthkit.geometry import ConvexRegion, clip_polygon_halfplane, convex_hull
-from depthkit.weighted import ECH_STAR, GEOMETRIC, ZONOID, _pair_differences, weights, wm_region_2d
+from depthkit.geometry import ConvexRegion, clip_polygon_halfplane, convex_hull, convex_ring_hull
+from depthkit.weighted import (
+    ECH_STAR,
+    GEOMETRIC,
+    ZONOID,
+    _ordered_of,
+    _pair_differences,
+    weights,
+    wm_region_2d,
+)
 
 
 def oracle_tukey_region(cloud, alpha):
@@ -75,12 +85,15 @@ def oracle_tukey_region(cloud, alpha):
     return ConvexRegion(2, convex_hull(poly))
 
 
-def oracle_wm_region(cloud, scheme, alpha):
+def oracle_wm_means(cloud, scheme, alpha):
+    """The weighted means of the sample ordered along one direction inside
+    each angular interval, in the angular order; None when all points
+    coincide."""
     w = weights(scheme, cloud.n, alpha)
     pts = cloud.points
     diffs = _pair_differences(cloud)
     if diffs.shape[0] == 0:
-        return ConvexRegion.single(pts[0])
+        return None
     base = np.arctan2(diffs[:, 1], diffs[:, 0])
     crit = np.concatenate([base + 0.5 * np.pi, base - 0.5 * np.pi]) % (2.0 * np.pi)
     crit = np.unique(crit)
@@ -92,7 +105,25 @@ def oracle_wm_region(cloud, scheme, alpha):
         u = dirs[start:start + 4096]
         order = np.argsort(u @ pts.T, axis=1, kind="stable")
         verts[start:start + 4096] = np.einsum("j,kjd->kd", w, pts[order])
-    return ConvexRegion.from_points(verts)
+    return verts
+
+
+def oracle_wm_region(cloud, scheme, alpha):
+    means = oracle_wm_means(cloud, scheme, alpha)
+    if means is None:
+        return ConvexRegion.single(cloud.points[0])
+    return ConvexRegion(2, convex_ring_hull(means))
+
+
+def wm_region_and_means(monkeypatch, cloud, scheme, alpha):
+    """``wm_region_2d`` and the means it hands to ``convex_ring_hull``
+    (None when it hands none)."""
+    seen = []
+    monkeypatch.setattr(weighted, "convex_ring_hull",
+                        lambda ring: seen.append(ring) or convex_ring_hull(ring))
+    region = wm_region_2d(cloud, scheme, alpha)
+    assert len(seen) <= 1
+    return region, (seen[0] if seen else None)
 
 
 def assert_bitwise(got, want):
@@ -415,15 +446,27 @@ def test_clipping_skips_only_halfplanes_that_cannot_cut():
 # ---------------------------------------------------------------------------
 
 
+SCHEMES = (ZONOID, ECH_STAR, GEOMETRIC)
+
+
+def assert_means_and_polygon(got, means, want_means):
+    """The means are bitwise the oracle's, and the region is bitwise
+    ``convex_ring_hull`` of them."""
+    assert means.shape == want_means.shape
+    assert np.array_equal(means.view(np.int64), want_means.view(np.int64))
+    assert_bitwise(got, ConvexRegion(2, convex_ring_hull(want_means)))
+
+
 @pytest.mark.parametrize("name", sorted(CLOUDS))
-def test_wm_region_matches_the_per_level_ordering(name):
+def test_wm_region_matches_the_per_level_ordering(monkeypatch, name):
     cloud = DataCloud(CLOUDS[name])
-    for scheme in (ZONOID, ECH_STAR, GEOMETRIC):
+    for scheme in SCHEMES:
         for alpha in (0.05, 0.3, 0.5, 0.9, 1.0):
-            assert_bitwise(wm_region_2d(cloud, scheme, alpha), oracle_wm_region(cloud, scheme, alpha))
+            got, means = wm_region_and_means(monkeypatch, cloud, scheme, alpha)
+            assert_means_and_polygon(got, means, oracle_wm_means(cloud, scheme, alpha))
 
 
-@pytest.mark.parametrize("scheme", [ZONOID, ECH_STAR, GEOMETRIC], ids=lambda s: s.name)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.name)
 def test_wm_region_kept_and_streamed_orderings_agree(monkeypatch, scheme):
     # n = 70: 4830 critical intervals, more than one chunk of 4096
     pts = make_cloud(6, 70).points
@@ -434,10 +477,91 @@ def test_wm_region_kept_and_streamed_orderings_agree(monkeypatch, scheme):
     monkeypatch.setattr(core, "BATCH_BYTES", 2**20)
     streamed = DataCloud(pts)
     for alpha, region in zip(alphas, want):
-        got = wm_region_2d(streamed, scheme, alpha)
+        got, means = wm_region_and_means(monkeypatch, streamed, scheme, alpha)
         assert_bitwise(got, region)
-        assert_bitwise(got, oracle_wm_region(streamed, scheme, alpha))
+        assert_means_and_polygon(got, means, oracle_wm_means(streamed, scheme, alpha))
     assert ("wm-ordered",) not in streamed._derived
+
+
+def _far_and_small():
+    """The 12-point cloud on which the hull's absolute eps shows, moved by
+    1e6 and scaled by 1e-6."""
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    return {"moved-1e6": pts + 1e6, "scaled-1e-6": pts * 1e-6}
+
+
+RING_CLOUDS = {**CLOUDS, **_far_and_small()}
+RING_LEVELS = (0.02, 0.05, 0.1, 0.3, 0.5, 0.8, 0.9, 1.0)
+
+
+def _ring_cases(monkeypatch, cloud):
+    """For every scheme and ``RING_LEVELS``, the region's polygon against the
+    hull of its means; the number of rings traced by the hull."""
+    traced = []
+    monkeypatch.setattr(geometry, "convex_hull",
+                        lambda pts, eps=None: traced.append(1) or convex_hull(pts, eps))
+    for scheme in SCHEMES:
+        for alpha in RING_LEVELS:
+            got, means = wm_region_and_means(monkeypatch, cloud, scheme, alpha)
+            assert means is not None
+            assert_ring_polygon(got.vertices, means, cloud.extent)
+    return len(traced)
+
+
+@pytest.mark.parametrize("name", sorted(RING_CLOUDS))
+def test_wm_region_is_a_polygon_of_its_means_no_weaker_than_their_hull(monkeypatch, name):
+    cloud = DataCloud(RING_CLOUDS[name])
+    traced = _ring_cases(monkeypatch, cloud)
+    cases = len(SCHEMES) * len(RING_LEVELS)
+    if name in ("gaussian", "lattice", "duplicates", "lattice-duplicates"):
+        # the level-1 means all round to the cloud's mean, and are traced;
+        # most rings are reduced
+        assert traced < cases // 2
+    elif name in ("collinear", "translated", "lattice-translated", "moved-1e6", "scaled-1e-6"):
+        # on one line, or with coordinates too far from the origin for the
+        # hull's eps, every ring is traced
+        assert traced == cases
+
+
+def test_wm_region_of_a_streamed_ring_is_no_weaker_than_its_hull(monkeypatch):
+    # n = 70 in chunks of 4096 critical intervals
+    monkeypatch.setattr(core, "BATCH_BYTES", 2**20)
+    cloud = DataCloud(make_cloud(6, 70).points)
+    assert _ring_cases(monkeypatch, cloud) < len(SCHEMES) * len(RING_LEVELS) // 2
+    assert ("wm-ordered",) not in cloud._derived
+
+
+def test_leading_zero_weights_are_skipped_bitwise():
+    # the zonoid's weights below rank n - n alpha are zero, and at alpha =
+    # 0.004 the ECH* weights of the lowest ranks underflow to zero (one
+    # rank at n = 27, four at n = 80)
+    skipped = set()
+    for pts in (benchmark_gaussian(1, 80), make_cloud(2, 27).points):
+        cloud = DataCloud(pts)
+        for scheme in SCHEMES:
+            for alpha in (0.004, 0.01, 0.05, 0.1, 0.37, 0.5, 0.9, 1.0):
+                w = weights(scheme, cloud.n, alpha)
+                j0 = int(np.argmax(w != 0.0))
+                if j0:
+                    skipped.add(scheme.name)
+                for ordered in _ordered_of(cloud):
+                    full = np.einsum("j,kjd->kd", w, ordered)
+                    part = np.einsum("j,kjd->kd", w[j0:], ordered[:, j0:])
+                    assert np.array_equal(full.view(np.int64), part.view(np.int64))
+    assert skipped == {"zonoid", "echstar"}
+
+
+def test_benchmark_ladders_are_read_off_the_ring(monkeypatch):
+    # the weighted-mean ladders of the benchmark's g80 shape pass no level
+    # to the hull
+    traced = []
+    monkeypatch.setattr(geometry, "convex_hull",
+                        lambda pts, eps=None: traced.append(1) or convex_hull(pts, eps))
+    cloud = DataCloud(benchmark_gaussian(1, 80))
+    for scheme in SCHEMES:
+        for alpha in np.arange(1, 10) / 10:
+            wm_region_2d(cloud, scheme, alpha)
+    assert traced == []
 
 
 def test_wm_region_of_coincident_points_is_that_point():

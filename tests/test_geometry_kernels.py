@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import benchmark_gaussian
 
-from depthkit import core
+from depthkit import DataCloud, core
 from depthkit.errors import EmptyRegionError
 from depthkit.geometry import ConvexRegion, convex_hull
+from depthkit.weighted import ECH_STAR, _ordered_chunks, weights
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -192,6 +194,36 @@ def test_hull_is_bitwise_the_loop(case):
     eps = 1e-6 * scale * scale
     got, want = convex_hull(pts, eps), oracle_hull(pts, eps)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _large_sets():
+    """Sets of 500 to 6320 points: Gaussian, with repeats, on one line, on
+    a lattice, and the ECH* means of a g80-shaped cloud at alpha 0.5, whose
+    hull pops thousands of nearly collinear points."""
+    rng = np.random.default_rng(24)
+    gauss = rng.standard_normal((2000, 2)) * [3.0, 0.5] + [10.0, -4.0]
+    t = rng.uniform(-1.0, 1.0, 500)
+    lattice = np.array([(x, y) for x in range(40) for y in range(25)], dtype=float)
+    w = weights(ECH_STAR, 80, 0.5)
+    means = np.concatenate([np.einsum("j,kjd->kd", w, o)
+                            for o in _ordered_chunks(DataCloud(benchmark_gaussian(1, 80)))])
+    return {"gaussian": gauss, "repeats": gauss[rng.integers(0, 300, 2000)],
+            "collinear": np.column_stack([t, 0.5 * t - 2.0]), "lattice": lattice,
+            "lattice-scaled": lattice * 1e-6 + 1e3, "means": means}
+
+
+LARGE_SETS = _large_sets()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SETS))
+def test_hull_of_large_sets_is_bitwise_the_loop(name):
+    # the loop above is the hull's own loop with a call per triple, on
+    # numpy scalars: the same IEEE arithmetic as the inlined cross product
+    pts = LARGE_SETS[name]
+    scale = float(np.abs(pts).max())
+    for eps in (None, 1e-9 * scale * scale):
+        got, want = convex_hull(pts, eps), oracle_hull(pts, eps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _assert_containment_matches(region, zs, tol, scale):

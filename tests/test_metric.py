@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cloud
+from conftest import assert_ring_polygon, make_cloud
 from depthkit import DataCloud, core, geometry, metric
 from depthkit.combinatorial import SIMPLEX_ENUMERATION_CAP
 from depthkit.errors import EnumerationTooLargeError, SingularScatterError, ZeroMadError
@@ -77,14 +77,14 @@ def _moment_ellipses():
 
 def test_mahalanobis_region_is_bitwise_the_hull_of_its_ellipse(monkeypatch):
     # the polygon is read off the ellipse where every turn clears the
-    # hull's tolerance, and traced by the hull elsewhere: both give the
-    # vertices the hull of the ellipse's points gives
+    # hull's tolerance, bitwise the hull of the ellipse's points; elsewhere
+    # it is held to that hull as every ring of support points is
     theta = np.linspace(0.0, 2.0 * np.pi, metric.ELLIPSE_VERTICES, endpoint=False)
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
     traced = []
     monkeypatch.setattr(geometry, "convex_hull",
                         lambda pts, eps=None: traced.append(1) or convex_hull(pts, eps))
-    regions = 0
+    read_off = 0
     for cloud in _moment_ellipses():
         try:
             center, _, chol = MOMENT.estimate(cloud)
@@ -93,12 +93,23 @@ def test_mahalanobis_region_is_bitwise_the_hull_of_its_ellipse(monkeypatch):
         for alpha in (0.05, 0.4, 0.95):
             radius = math.sqrt(1.0 / alpha - 1.0)
             ring = center + radius * (circle @ chol.T)
-            want = convex_hull(ring)
+            calls = len(traced)
             got = mahalanobis_region(cloud, alpha).vertices
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            regions += 1
-    # both ways are taken, each many times
-    assert 50 < len(traced) < regions - 50
+            eps = 1e-12 * max(1.0, float(np.abs(ring).max())) ** 2
+            o, b = np.roll(ring, 1, axis=0), np.roll(ring, -1, axis=0)
+            turn = ((ring[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1])
+                    - (ring[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0]))
+            if np.all(turn > eps):
+                want = convex_hull(ring)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert len(traced) == calls
+                read_off += 1
+            else:
+                assert_ring_polygon(got, ring, float(np.ptp(ring, axis=0).max()))
+    # both ways are taken, each many times: 158 rings are read off, and the
+    # other 187, too thin or too far from the origin for the hull's eps,
+    # are traced
+    assert (read_off, len(traced)) == (158, 187)
 
 
 def test_mahalanobis_region_nesting():

@@ -38,8 +38,11 @@ The layers, with their default sizes and limit:
     ``wm_region_2d`` with the ECH* scheme at 0.1, 0.5 and 0.9 (on a fresh
     cloud for each run of a ladder, so what the cloud keeps, such as the
     Tukey pair counts, is built and timed once per ladder); per layer,
-    ``export_region_json`` of a document of those regions; and the
-    ``tracemalloc`` peak of one ``tukey_region_2d`` at 0.2 on a fresh cloud.
+    ``export_region_json`` of a document of those regions; the
+    ``tracemalloc`` peak of one ``tukey_region_2d`` at 0.2 on a fresh cloud;
+    and per level, of the n(n - 1) ECH* weighted means at those three
+    levels, ``geometry.convex_hull`` (hull tracing) and
+    ``geometry.convex_ring_hull`` (the polygon read off the ring of means).
 ``sweep`` (27,80,400,1600; 120 s)
     planar halfspace depth per point call at 64 seeded queries and
     ``simplicial_depth_many`` per query over a 32 x 32 grid on the data box,
@@ -219,10 +222,10 @@ for d in (2, 3):
 
 REGION = """
 import os, tempfile, tracemalloc
-from depthkit import DataCloud
+from depthkit import DataCloud, geometry
 from depthkit.combinatorial import tukey_region_2d
 from depthkit.svg import ContourDocument, ContourLayer, export_region_json
-from depthkit.weighted import ECH_STAR, wm_region_2d
+from depthkit.weighted import ECH_STAR, _ordered_of, weights, wm_region_2d
 pts = planar()
 cloud = DataCloud(pts)
 TUKEY, ECH = (0.1, 0.2, 0.3), (0.1, 0.5, 0.9)
@@ -249,8 +252,14 @@ tukey_region_2d(DataCloud(pts), 0.2)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 vertices = sum(layer.rings[0].shape[0] for layer in layers)
+ordered = list(_ordered_of(DataCloud(pts)))
+rings = [np.concatenate([np.einsum("j,kjd->kd", weights(ECH_STAR, n, a), o) for o in ordered])
+         for a in ECH]
+del ordered
+hull_s, _ = best(lambda: [geometry.convex_hull(r) for r in rings])
+ring_s, _ = best(lambda: [geometry.convex_ring_hull(r) for r in rings])
 row = (tukey_s / len(TUKEY), ech_s / len(ECH), json_s / len(layers), peak / 2**20,
-       vertices, json_bytes)
+       vertices, json_bytes, hull_s / len(ECH), ring_s / len(ECH))
 """
 
 SWEEP = """
@@ -424,7 +433,8 @@ LAYERS = {
                 "10,27,80,160,320", 60.0, fits=("d2_pivots", "d3_pivots"),
                 fields={"queries": 16}),
     "region": Layer(REGION, ("tukey_region_s_per_level", "echstar_region_s_per_level",
-                             "json_s_per_layer", "tukey_peak_mb", "vertices", "json_bytes"),
+                             "json_s_per_layer", "tukey_peak_mb", "vertices", "json_bytes",
+                             "hull_s_per_level", "ring_s_per_level"),
                     "27,80,160,400", 300.0),
     "sweep": Layer(SWEEP, _per_query("line_halfspace", "angular_halfspace",
                                      "line_simplicial", "angular_simplicial",
