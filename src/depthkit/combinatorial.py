@@ -13,13 +13,12 @@ triangles that miss it.  A query where two directions from it come within
 rounding of one line is resolved by the full n x n table of those sides,
 for both.  In d = 1 both reduce the data points strictly below and above
 the query, compared exactly.  Tukey regions intersect the finitely many
-binding halfplanes: in general position those on the lines through two data
-points with k - 1 or k - 2 points beyond, read from one table of pair
-counts per cloud (the same angular orders, about each data point); with
-duplicates or three points on a line, every critical halfplane.  Random
-Tukey depth counts the data's sides on seeded directions, for a batch from
-the data's projections sorted once; simplicial depth in d >= 3 enumerates
-closed simplices.
+binding halfplanes, those on the lines through two data points on which
+the k-th largest projection lies, read from one table of pair counts per
+cloud (the same angular orders, about each data point, and the side table
+for those with a near-tie).  Random Tukey depth counts the data's sides on
+seeded directions, for a batch from the data's projections sorted once;
+simplicial depth in d >= 3 enumerates closed simplices.
 """
 
 from __future__ import annotations
@@ -79,26 +78,27 @@ def _cross(xa, ya, x, y) -> np.ndarray:
     return cross
 
 
-def _line_tables(qs: np.ndarray, cloud: DataCloud):
-    """Per chunk of the planar queries ``qs``: its rows and the (m, n) tables
-    ``fewest`` and ``k`` over the data points a as anchors.
+def _line_rows(n: int) -> int:
+    """(query, anchor) rows of n entries that one block of
+    :func:`_line_sides` takes."""
+    return max(1, min(core.BATCH_BYTES // _LINE_ENTRY_BYTES, _LINE_BLOCK_ENTRIES) // n)
+
+
+def _line_sides(qs: np.ndarray, cloud: DataCloud):
+    """Per chunk of the planar queries ``qs``: its rows, the unit
+    directions (x, y) of the data points from each query, the mask ``far``
+    of those beyond the tolerance, and the (m, n) tables ``left`` and
+    ``right`` over the data points a as anchors.
 
     A point a farther than the tolerance from q spans a line through q.
     Every point b lies left of it, right of it or on it, by the sign of the
     cross product of their unit directions from q beyond the tolerance (so
-    b is left of a exactly when a is right of b), and a point on it lies
-    ahead of q or behind.  ``fewest`` = min(left, right) + min(ahead,
-    behind) + the points that coincide with q is the fewest points a closed
-    halfplane beside the line holds (n if a coincides with q).  ``k`` counts
-    the points left of a or ahead of it with a larger index: a closed
-    triangle misses q exactly when its vertices fit in an open halfplane
-    bounded by a line through q, and then it is a pair of the k points of
-    its most clockwise vertex and of no other; points on opposite rays
-    never fit.  Blocks stay within ``core.BATCH_BYTES``.
+    b is left of a exactly when a is right of b).  Blocks stay within
+    ``core.BATCH_BYTES``.
     """
     pts, n = cloud.points, cloud.n
     tol = _BOUNDARY_REL_TOL * cloud.extent
-    rows = max(1, min(core.BATCH_BYTES // _LINE_ENTRY_BYTES, _LINE_BLOCK_ENTRIES) // n)
+    rows = _line_rows(n)
     width, step = min(n, rows), max(1, rows // n)  # anchors and queries per block
     for start in range(0, qs.shape[0], step):
         rel = pts - qs[start:start + step, None]
@@ -114,6 +114,26 @@ def _line_tables(qs: np.ndarray, cloud: DataCloud):
             cross = _cross(x[:, block], y[:, block], x, y)
             left[:, block] = _count(cross > _BOUNDARY_REL_TOL)
             right[:, block] = _count(cross < -_BOUNDARY_REL_TOL)
+        yield slice(start, start + step), x, y, far, left, right
+
+
+def _line_tables(qs: np.ndarray, cloud: DataCloud):
+    """Per chunk of the planar queries ``qs``: its rows and the (m, n) tables
+    ``fewest`` and ``k`` over the data points a as anchors, from the sides
+    of :func:`_line_sides`.
+
+    A point on a's line lies ahead of q or behind.  ``fewest`` =
+    min(left, right) + min(ahead, behind) + the points that coincide with q
+    is the fewest points a closed halfplane beside the line holds (n if a
+    coincides with q).  ``k`` counts the points left of a or ahead of it
+    with a larger index: a closed triangle misses q exactly when its
+    vertices fit in an open halfplane bounded by a line through q, and then
+    it is a pair of the k points of its most clockwise vertex and of no
+    other; points on opposite rays never fit.
+    """
+    n = cloud.n
+    rows = _line_rows(n)
+    for chunk, x, y, far, left, right in _line_sides(qs, cloud):
         n_far = _count(far)[:, None]
         on = n_far - left - right
         fewest = np.where(far, np.minimum(left, right) + (n - n_far), n)
@@ -129,7 +149,7 @@ def _line_tables(qs: np.ndarray, cloud: DataCloud):
             fewest[q, p] += np.minimum(on[q, p] - behind, behind)
             line &= far[q] & (along >= 0.0) & (np.arange(n) > p[:, None])
             left[q, p] += _count(line)
-        yield slice(start, start + step), fewest, left
+        yield chunk, fewest, left
 
 
 def _angular_order(rel: np.ndarray, tol: float):
@@ -277,7 +297,7 @@ def _collinear_frame(pts: np.ndarray, tol: float):
     center = pts.mean(axis=0)
     dev = pts - center
     _, s, vt = np.linalg.svd(dev, full_matrices=False)
-    if s.shape[0] < 2 or s[1] <= tol * max(s[0], 1.0):
+    if s.shape[0] < 2 or s[1] <= tol * s[0]:
         return center, vt[0]
     return None
 
@@ -335,22 +355,6 @@ def _clip_by_cutting(poly: np.ndarray, normals: np.ndarray, h: np.ndarray,
     return poly
 
 
-def _halfplane_bounds(normals: np.ndarray, pts: np.ndarray, k: int):
-    """(normals, k-th largest projection of ``pts`` on each) in blocks of
-    halfplanes under ``core.BATCH_BYTES``; a halfplane's n projections and
-    their partitioned copy take 16 n bytes.
-
-    A block holds an even number of halfplanes, as ``normals`` does (each
-    normal comes with its negative), so none is a single row: BLAS
-    multiplies one row, and rounds it, differently from a block of rows.
-    """
-    n = pts.shape[0]
-    size = 2 * max(1, core.BATCH_BYTES // (32 * n))
-    for start in range(0, normals.shape[0], size):
-        u = normals[start:start + size]
-        yield u, np.partition(u @ pts.T, n - k, axis=1)[:, n - k].copy()
-
-
 #: the table's halfplanes keep a vertex that lies outside by at most this
 #: share of the box's largest coordinate, 16 unit roundoffs: above the
 #: rounding of a crossing, so that a level that is a point or a segment
@@ -360,25 +364,30 @@ _PAIR_CLIP_REL = 2.0**-49
 
 def _pair_counts(cloud: DataCloud):
     """The (n, n) int32 table r[i, j] of the data points strictly right of
-    the directed line x_i -> x_j (n on the diagonal), or None when some
-    data point sees a near-tie (:func:`_angular_order`): duplicates, or
-    three points within rounding of one line.
+    the directed line x_i -> x_j, and n where x_i and x_j coincide within
+    the depth's tolerance (the diagonal among them).
 
     Right of x_i -> x_j is left of x_j -> x_i, which is ``left[j, i]`` of
     the angular order about x_j: O(n^2 log n) for the table, under the
-    near-tie rule of the depth.  Queries go in chunks under
-    ``core.BATCH_BYTES``.
+    near-tie rule of the depth.  A data point whose angular order has a
+    near-tie (:func:`_angular_order`) takes its row's strict sides from
+    :func:`_line_sides`.  Queries go in chunks under ``core.BATCH_BYTES``.
     """
     pts, n = cloud.points, cloud.n
     tol = _BOUNDARY_REL_TOL * cloud.extent
     step = max(1, core.BATCH_BYTES // (_ANGLE_ENTRY_BYTES * n))
     counts = np.empty((n, n), dtype=np.int32)
     for start in range(0, n, step):
-        left, _, ties = _angular_order(pts - pts[start:start + step, None], tol)
-        if ties.size:
-            return None
+        chunk = pts[start:start + step]
+        rel = pts - chunk[:, None]
+        left, _, ties = _angular_order(rel, tol)
+        for rows, _, _, _, strict, _ in _line_sides(chunk[ties], cloud):
+            left[ties[rows]] = strict
+        # a point within the tolerance counts 0, as do a few far ones
+        q, a = np.nonzero(left == 0)
+        near = np.hypot(*rel[q, a].T) <= tol
+        left[q[near], a[near]] = n
         counts[:, start:start + step] = left.T
-    np.fill_diagonal(counts, n)
     counts.setflags(write=False)
     return counts
 
@@ -396,12 +405,11 @@ def _pair_halfplanes(pts: np.ndarray, i: np.ndarray, j: np.ndarray):
     """(normals, bounds) of the closed halfplanes left of the directed
     lines x_i -> x_j.  The bound is the larger of the two points'
     projections, which is the k-th largest projection on the normal when
-    k - 1 points lie strictly beyond; each is formed coordinate by
-    coordinate, with no BLAS product whose rounding follows the number of
-    lines."""
+    that lies on the line; each is formed coordinate by coordinate, with no
+    BLAS product whose rounding follows the number of lines."""
     d = pts[j] - pts[i]
     normals = np.column_stack([d[:, 1], -d[:, 0]])
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    normals /= np.hypot(d[:, 0], d[:, 1])[:, None]
     u0, u1 = normals[:, 0], normals[:, 1]
     bounds = np.maximum(u0 * pts[i, 0] + u1 * pts[i, 1], u0 * pts[j, 0] + u1 * pts[j, 1])
     return normals, bounds
@@ -424,62 +432,51 @@ def tukey_region_2d(cloud: DataCloud, alpha: float) -> ConvexRegion:
 
     With k = ceil(n alpha), a padded bounding box is clipped by halfplanes
     that hold the region, skipping those that cannot cut it.  May be
-    empty, a point, or a segment.
+    empty, a point, or a segment; a cloud on one line gives the trimmed
+    segment.
 
-    A cloud without a near-tie (no duplicates, no three points within
-    rounding of one line; :func:`_pair_counts`) reads its halfplanes from
-    one table of pair counts, built once per cloud.  As the normal turns,
-    the point whose projection is k-th largest changes where it meets the
-    next one, on a line through two data points with k - 1 points strictly
-    beyond (the region's edges lie there; Ruts & Rousseeuw 1996) or k - 2
-    (the region lies strictly inside those).  Between two such normals the
-    halfplanes turn about one point, so these lines' closed halfplanes
-    bound the region exactly: the box is clipped by those with k - 1
-    beyond, then by those with k - 2, which cut only a level that is
-    empty.  The box's padding and the clip's tolerance follow the cloud's
-    scale, so a vertex lies outside no such halfplane by more than rounding.
-
-    Any other cloud clips by every critical halfplane {z : <u, z> <= k-th
-    largest projection}, u a normal of a pairwise difference, with the
-    projections formed in blocks of halfplanes under ``core.BATCH_BYTES``;
-    a cloud on one line gives the trimmed segment.
+    Any other cloud reads its halfplanes from one table of pair counts
+    (:func:`_pair_counts`), built once per cloud.  The region is the
+    intersection of {z : <u, z> <= k-th largest projection on u} over all
+    normals u.  As u turns, the k-th largest projection changes only where
+    two points' projections meet, so it lies on a line through two data
+    points x_i -> x_j with at most k - 1 points strictly right of it
+    (r[i, j] <= k - 1) and at least k on or right of it (r[j, i] <= n - k).
+    Between two such normals the halfplanes turn about one point, so these
+    lines' closed left halfplanes bound the region exactly (its edges lie
+    on them; Ruts & Rousseeuw 1996).  The box is clipped by those with
+    r[i, j] = k - 1, then by those with fewer beyond, which in general
+    position (r[i, j] = k - 2) cut only a level that is empty.  The box,
+    the bounds and the clip's tolerance are formed about the centre of the
+    data's bounding box, so that they follow the cloud's extent, not its
+    place, and a vertex lies outside no such halfplane by more than
+    rounding.
     """
     cloud.require_dim(2)
     n = cloud.n
     k = _level_count(n, check_level(alpha))
     pts = cloud.points
-    tol = cloud.coord_tol
 
     frame = _collinear_frame(pts, 1e-12)
     if frame is not None:
         center, axis = frame
-        span = _trimmed_span((pts - center) @ axis, k, tol)
+        span = _trimmed_span((pts - center) @ axis, k, cloud.coord_tol)
         if span is None:
             return ConvexRegion.empty(2)
         lo, hi = span
         return ConvexRegion.from_points(np.array([center + lo * axis, center + hi * axis]))
 
     counts = _pair_counts_of(cloud)
-    if counts is not None:
-        poly = _padded_box(pts, 0.5 * cloud.extent)
-        tol = _PAIR_CLIP_REL * float(np.abs(poly).max())
-        blocks = (_pair_halfplanes(pts, *np.nonzero(counts == beyond))
-                  for beyond in (k - 1, k - 2))
-    else:
-        poly = _padded_box(pts, 0.5 * max(cloud.extent, 1.0))
-        iu, ju = np.triu_indices(n, k=1)
-        diffs = pts[iu] - pts[ju]
-        keep = np.linalg.norm(diffs, axis=1) > tol
-        diffs = diffs[keep]
-        normals = np.column_stack([-diffs[:, 1], diffs[:, 0]])
-        normals = np.vstack([normals, -normals])
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        blocks = _halfplane_bounds(normals, pts, k)
-    for u, h in blocks:
-        poly = _clip_by_cutting(poly, u, h, tol)
+    held = (counts <= k - 1) & (counts.T <= n - k)
+    centre = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    rel = pts - centre
+    poly = _padded_box(rel, 0.5 * cloud.extent)
+    tol = _PAIR_CLIP_REL * float(np.abs(poly).max())
+    for lines in (held & (counts == k - 1), held & (counts < k - 1)):
+        poly = _clip_by_cutting(poly, *_pair_halfplanes(rel, *np.nonzero(lines)), tol)
         if poly.shape[0] == 0:
             return ConvexRegion.empty(2)
-    return ConvexRegion(2, convex_hull(poly))
+    return ConvexRegion(2, convex_hull(poly + centre))
 
 
 def halfspace_region(cloud: DataCloud, alpha: float) -> ConvexRegion:

@@ -14,9 +14,8 @@ its own with no BLAS product (L2, Oja, the equal-row count, region
 containment and distance), so a chunk's temporaries stay near the size of
 a core's L2 cache and the chunk size cannot move a value.
 ``BATCH_BYTES`` (16 MiB) bounds the state kept on a cloud and the
-direction and halfplane blocks that one BLAS product forms (the sign
-counts, the halfplane bounds, the projection index build); it also caps
-``CHUNK_BYTES`` when set lower.
+direction blocks that one BLAS product forms (the sign counts, the
+projection index build); it also caps ``CHUNK_BYTES`` when set lower.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ DepthEvaluator = Callable[[np.ndarray, DataCloud], float]
 
 _VARIANTS = {"affine": "D2", "isometric": "D2iso", "scale": "D2sca"}
 
-#: memory bound of the state kept on a cloud and of the direction and
-#: halfplane blocks that a BLAS product forms at once
+#: memory bound of the state kept on a cloud and of the direction blocks
+#: that a BLAS product forms at once
 BATCH_BYTES = 16 * 2**20
 #: working set of one chunk of query rows in :func:`in_chunks`: about the
 #: per-core L2 cache, so a chunk's temporaries stay in cache and are reused

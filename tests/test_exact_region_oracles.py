@@ -1,16 +1,15 @@
 """Exact planar regions against the loops they replaced.
 
 ``oracle_tukey_region`` clips the padded box by every critical halfplane in
-turn, as ``tukey_region_2d`` did before it skipped the halfplanes that
-cannot cut, with all projections formed in one product.  A cloud with a
-near-tie or on one line still takes that path, and must give bitwise the
-same vertices.  A cloud in general position reads its halfplanes from the
-table of pair counts: its region must lie within 1e-9 of the extent of the
-loop's, or of the exact region (``exact_tukey_regions``, in rational
-arithmetic) for the small named clouds, and inside every closed halfplane
-that a line through two data points bounds with at most k - 1 points
-strictly beyond (``pair_halfplane_oracle``, which counts the sides by cross
-products).
+turn, with all projections formed in one product.  A cloud on one line
+must give bitwise its trimmed segment.  Every other cloud, with
+duplicates, collinear triples or near-ties included, reads its halfplanes
+from the table of pair counts: its region must lie within 1e-9 of the
+extent of the exact region (``exact_tukey_regions``, in rational
+arithmetic) for the small named and seeded clouds, or of the loop's on
+larger ones, and inside every closed halfplane that a line through two
+distinct data points bounds with at most k - 1 points strictly beyond
+(``pair_halfplane_oracle``, which counts the sides by cross products).
 ``oracle_wm_means`` orders the sample afresh for every level and weighs
 every rank: the weighted means the array code reads its polygon off must
 be bitwise the same, and the polygon bitwise ``convex_ring_hull`` of them.
@@ -35,7 +34,6 @@ from depthkit.combinatorial import (
     _pair_counts,
     _trimmed_span,
     _clip_by_cutting,
-    _halfplane_bounds,
     tukey_region_2d,
 )
 from depthkit.geometry import ConvexRegion, clip_polygon_halfplane, convex_hull, convex_ring_hull
@@ -133,18 +131,12 @@ def assert_bitwise(got, want):
     assert np.array_equal(got.vertices.view(np.int64), want.vertices.view(np.int64))
 
 
-def takes_pair_table(cloud):
-    """Whether ``tukey_region_2d`` reads the cloud's halfplanes from the
-    table of pair counts: off one line, and without a near-tie."""
-    return _collinear_frame(cloud.points, 1e-12) is None and _pair_counts(cloud) is not None
-
-
 def pair_halfplane_oracle(pts):
-    """Each directed line x_i -> x_j through two data points (i != j): x_i,
+    """Each directed line x_i -> x_j through two distinct data points: x_i,
     its unit direction and the data points strictly right of it, from one
-    cross product per (line, point), O(n^3)."""
-    n = pts.shape[0]
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    cross product per (line, point), O(n^3).  The pairs come in row-major
+    order of (i, j)."""
+    i, j = np.nonzero((pts[:, None] != pts[None]).any(axis=2))
     d = pts[j] - pts[i]
     rel = pts[None] - pts[i][:, None]
     cross = d[:, None, 0] * rel[..., 1] - d[:, None, 1] * rel[..., 0]
@@ -245,35 +237,78 @@ CLOUDS = _clouds()
 # ---------------------------------------------------------------------------
 
 
-#: the named clouds in general position, which are held to the exact
-#: region: the clip loop's tolerance and padding do not scale with the
-#: cloud, and its regions lie up to 3.6e-9 (translated) and 2.5e-4 (scaled)
-#: of the extent from the exact ones.  (On those two clouds the hull's
-#: collinearity threshold, which does not scale either, drops vertices of
-#: every region alike.)  The others have a near-tie (duplicates, or three
-#: points within rounding of one line) or lie on one line.
-TABLE_CLOUDS = {"gaussian", "translated", "scaled"}
-
-
 @pytest.mark.parametrize("name", sorted(CLOUDS))
-def test_tukey_region_matches_the_clip_loop_at_every_level(name):
+def test_tukey_region_matches_the_exact_region_at_every_level(name):
+    # held to the exact region, not to the clip loop: the loop's tolerance
+    # and padding do not scale with the cloud, and its regions lie up to
+    # 9.4e-4 (near-collinear) of the extent from the exact ones
     cloud = DataCloud(CLOUDS[name])
-    assert takes_pair_table(cloud) == (name in TABLE_CLOUDS)
-    if name in TABLE_CLOUDS:
-        halfplanes = pair_halfplane_oracle(cloud.points)
-        exact = exact_tukey_regions(cloud.points)
+    if name == "collinear":
+        assert _collinear_frame(cloud.points, 1e-12) is not None
+        for k in range(1, cloud.n + 1):
+            assert_bitwise(tukey_region_2d(cloud, k / cloud.n),
+                           oracle_tukey_region(cloud, k / cloud.n))
+        return
+    halfplanes = pair_halfplane_oracle(cloud.points)
+    exact = exact_tukey_regions(cloud.points)
     for k in range(1, cloud.n + 1):
-        got = tukey_region_2d(cloud, k / cloud.n)
-        if name in TABLE_CLOUDS:
-            assert_close_and_sound(cloud, k, got, halfplanes, exact[k - 1])
-        else:
-            assert_bitwise(got, oracle_tukey_region(cloud, k / cloud.n))
+        assert_close_and_sound(cloud, k, tukey_region_2d(cloud, k / cloud.n), halfplanes,
+                               exact[k - 1])
+
+
+def tie_cloud(seed):
+    """A small seeded cloud with ties, off one line: an integer grid with
+    repeats (even seeds), or Gaussian points on a grid of 2^-20 with two
+    duplicates and two midpoints, which are exact (odd seeds)."""
+    rng = np.random.default_rng(seed)
+    if seed % 2 == 0:
+        grid = rng.integers(0, 4, (int(rng.integers(6, 11)), 2)).astype(float)
+        return np.vstack([[[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], grid])
+    base = np.round(rng.standard_normal((int(rng.integers(6, 10)), 2)) * 2.0**20) * 2.0**-20
+    a, b = rng.integers(0, base.shape[0], (2, 2))
+    return np.vstack([base, base[rng.integers(0, base.shape[0], 2)], 0.5 * (base[a] + base[b])])
+
+
+@pytest.mark.parametrize("move", ["1", "+1e6", "x1e6"])
+def test_tukey_region_of_clouds_with_ties_is_the_exact_region(move):
+    # translation by 1e6 and scaling by 1e6 are exact on these clouds
+    for seed in range(32):
+        pts = tie_cloud(seed)
+        pts = {"1": pts, "+1e6": pts + 1e6, "x1e6": pts * 1e6}[move]
+        cloud = DataCloud(pts)
+        halfplanes = pair_halfplane_oracle(cloud.points)
+        for k, exact in enumerate(exact_tukey_regions(cloud.points), start=1):
+            assert_close_and_sound(cloud, k, tukey_region_2d(cloud, k / cloud.n), halfplanes,
+                                   exact)
+
+
+def test_a_vertex_of_exact_depth_on_a_line_of_repeats_is_kept():
+    # (0, 2) lies on x = 0 with six other points, four of them at (0, 3),
+    # and has depth exactly 3/12: a vertex of the level-3 region
+    pts = np.array([[2, 0], [3, 2], [1, 3], [0, 3], [2, 2], [0, 3], [0, 1], [0, 3],
+                    [0, 2], [0, 3], [2, 2], [0, 0]], dtype=float)
+    cloud = DataCloud(pts)
+    region = tukey_region_2d(cloud, 3 / 12)
+    assert np.abs(region.vertices - [0.0, 2.0]).max(axis=1).min() <= 1e-15
+    assert_close_and_sound(cloud, 3, region, pair_halfplane_oracle(pts),
+                           exact_tukey_regions(pts)[2])
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-15])
+def test_a_tiny_cloud_off_a_line_keeps_its_level(scale):
+    # the collinearity test is relative to the cloud's spread: scaled this
+    # small, the cloud is still off one line, and each vertex of its region
+    # is as deep as the level
+    cloud = DataCloud(np.random.default_rng(3).standard_normal((12, 2)) * scale)
+    assert _collinear_frame(cloud.points, 1e-12) is None
+    region = tukey_region_2d(cloud, 0.25)
+    assert not region.is_empty
+    assert (combinatorial.halfspace_depth_2d(region.vertices, cloud) >= 0.25).all()
 
 
 @pytest.mark.parametrize("seed, n", [(0, 27), (1, 40), (2, 80)])
 def test_tukey_region_matches_the_clip_loop_on_random_clouds(seed, n):
     cloud = make_cloud(seed, n)
-    assert takes_pair_table(cloud)
     halfplanes = pair_halfplane_oracle(cloud.points)
     for k in range(1, n // 2 + 2, 3):
         assert_close_and_sound(cloud, k, tukey_region_2d(cloud, k / n), halfplanes)
@@ -305,12 +340,27 @@ def test_tukey_region_lies_in_every_halfplane_of_its_level(name):
         assert_sound(region, k, halfplanes, 1e-13 * cloud.extent)
 
 
-@pytest.mark.parametrize("seed, n", [(0, 27), (3, 80), (5, 13)])
-def test_pair_counts_are_the_points_right_of_each_line(monkeypatch, seed, n):
-    cloud = make_cloud(seed, n)
+def _pair_clouds():
+    clouds = {f"make_cloud({s}, {n})": make_cloud(s, n).points
+              for s, n in ((0, 27), (3, 80), (5, 13))}
+    # near-ties: repeats, and integer lattices whose sides the oracle's
+    # cross products get exactly
+    clouds.update({name: CLOUDS[name] for name in ("duplicates", "lattice",
+                                                   "lattice-duplicates")})
+    return clouds
+
+
+PAIR_CLOUDS = _pair_clouds()
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CLOUDS))
+def test_pair_counts_are_the_points_right_of_each_line(monkeypatch, name):
+    cloud = DataCloud(PAIR_CLOUDS[name])
+    n = cloud.n
     _, _, beyond = pair_halfplane_oracle(cloud.points)
+    # n for a pair of coincident points, the diagonal among them
     want = np.full((n, n), n, dtype=np.int32)
-    want[~np.eye(n, dtype=bool)] = beyond
+    want[(cloud.points[:, None] != cloud.points[None]).any(axis=2)] = beyond
     tukey_region_2d(cloud, 0.2)
     kept = cloud._derived[("tukey-pairs",)]
     assert np.array_equal(kept, want) and not kept.flags.writeable
@@ -327,7 +377,8 @@ def test_pair_counts_are_the_points_right_of_each_line(monkeypatch, seed, n):
 def test_tukey_region_does_not_depend_on_the_block_size(monkeypatch, name, planes):
     cloud = DataCloud(CLOUDS[name])
     want = [tukey_region_2d(cloud, k / cloud.n) for k in range(1, cloud.n // 2 + 2)]
-    # room for this many halfplanes per block
+    # budgets under which the pair table's angular orders and side tables
+    # take one to three query rows per chunk, and the table is not always kept
     monkeypatch.setattr(core, "BATCH_BYTES", 16 * cloud.n * planes)
     for k, region in enumerate(want, start=1):
         assert_bitwise(tukey_region_2d(cloud, k / cloud.n), region)
@@ -350,25 +401,6 @@ def test_tukey_region_clips_by_few_of_its_halfplanes(monkeypatch):
     assert 0 < len(calls) < 0.05 * 6320
 
 
-def test_halfplane_bounds_are_those_of_one_product(monkeypatch):
-    rng = np.random.default_rng(8)
-    pts = rng.standard_normal((30, 2))
-    angles = rng.uniform(0.0, 2 * np.pi, 25)
-    normals = np.column_stack([np.cos(angles), np.sin(angles)])
-    # each normal with its negative, as the region pairs them: 50 in all
-    normals = np.vstack([normals, -normals])
-    want = np.partition(normals @ pts.T, 30 - 7, axis=1)[:, 30 - 7]
-    for planes in (1, 2, 3, 7, 64):
-        # room for 7 halfplanes per block would leave the 50th alone, and
-        # BLAS rounds a one-row product differently from a block of rows
-        monkeypatch.setattr(core, "BATCH_BYTES", 16 * 30 * planes)
-        blocks = list(_halfplane_bounds(normals, pts, 7))
-        assert all(u.shape[0] >= 2 for u, _ in blocks)
-        assert np.array_equal(np.concatenate([u for u, _ in blocks]), normals)
-        got = np.concatenate([h for _, h in blocks])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def test_tukey_region_working_set_stays_within_the_batch_budget(monkeypatch):
     cloud = make_cloud(3, 300)
     tracemalloc.start()
@@ -377,7 +409,9 @@ def test_tukey_region_working_set_stays_within_the_batch_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # all 89,700 halfplanes' projections would take 215 MB, twice over
+    # the angular orders go in query chunks under the budget, and the kept
+    # pair table and each level's masks take 4 n^2 and n^2 bytes (360 KB
+    # and 90 KB at n = 300)
     assert peak <= 2 * core.BATCH_BYTES
     monkeypatch.setattr(core, "BATCH_BYTES", 2**16)
     assert_bitwise(tukey_region_2d(cloud, 0.2), want)

@@ -1,7 +1,8 @@
 """The scaling tool, ``tools/scaling.py``: every layer at two small sizes.
 
 Each run starts one fresh interpreter per size, as the tool does for any
-record; the sizes are those of the CI tools smoke, about 17 s in all.
+record; the sizes are those of the CI tools smoke, about 45 s in all (a
+timed layer repeats until it has run for 0.2 s).
 """
 
 import json
@@ -26,10 +27,11 @@ LAYERS = {
               ("build_exp", "outlyingness_exp", "grid_exp", "point_exp")),
     "lp": ("10,27", ("d2_lp_s", "d2_pivots", "d3_lp_s", "d3_pivots"),
            ("d2_lp_exp", "d2_pivots_exp", "d3_lp_exp", "d3_pivots_exp")),
-    "region": ("27,80", ("tukey_region_s_per_level", "echstar_region_s_per_level",
-                         "json_s_per_layer", "tukey_peak_mb", "vertices", "json_bytes",
-                         "hull_s_per_level", "ring_s_per_level"),
-               ("tukey_region_exp", "echstar_region_exp", "json_exp", "hull_exp", "ring_exp")),
+    "region": ("27,80", ("tukey_region_s_per_level", "tukey_tie_region_s_per_level",
+                         "echstar_region_s_per_level", "json_s_per_layer", "tukey_peak_mb",
+                         "vertices", "json_bytes", "hull_s_per_level", "ring_s_per_level"),
+               ("tukey_region_exp", "tukey_tie_region_exp", "echstar_region_exp", "json_exp",
+                "hull_exp", "ring_exp")),
     "sweep": ("27,80", tuple(p + PER_QUERY for p in (
         "line_halfspace", "angular_halfspace", "line_simplicial", "angular_simplicial",
         "batch_halfspace")),

@@ -6,9 +6,10 @@ Run from the repository root:
 
 For each size n a fresh interpreter imports ``depthkit`` from SRC (default
 ``src``), draws seeded data of n points and times the layer.  Each time is
-the best of up to three runs, a second and third only while the runs so
-far took under 5 s together.  A size whose child takes longer than
-``--limit`` seconds is reported as skipped.  Each size prints one row; the
+the best of at least three runs that took at least 0.2 s together, so
+that a layer of a few milliseconds is the best of dozens; no further run
+starts once the runs so far took 5 s together.  A size whose child takes
+longer than ``--limit`` seconds is reported as skipped.  Each size prints one row; the
 last line is JSON: the layer's numbers per n, the sizes skipped, and the
 exponent of every time series (``<name>_s...`` gives ``<name>_exp``),
 fitted by least squares on log-log axes.  Run a layer with ``--src`` set
@@ -34,11 +35,12 @@ The layers, with their default sizes and limit:
     flips of both phases), also fitted; null for a ``depthkit`` whose
     ``LPResult`` has no ``pivots``.
 ``region`` (27,80,160,400; 300 s)
-    per level, ``tukey_region_2d`` at alpha 0.1, 0.2 and 0.3 and
-    ``wm_region_2d`` with the ECH* scheme at 0.1, 0.5 and 0.9 (on a fresh
-    cloud for each run of a ladder, so what the cloud keeps, such as the
-    Tukey pair counts, is built and timed once per ladder); per layer,
-    ``export_region_json`` of a document of those regions; the
+    per level, ``tukey_region_2d`` at alpha 0.1, 0.2 and 0.3, on the cloud
+    and on the cloud with its last point replaced by a copy of its first
+    (a tie), and ``wm_region_2d`` with the ECH* scheme at 0.1, 0.5 and 0.9
+    (on a fresh cloud for each run of a ladder, so what the cloud keeps,
+    such as the Tukey pair counts, is built and timed once per ladder); per
+    layer, ``export_region_json`` of a document of those regions; the
     ``tracemalloc`` peak of one ``tukey_region_2d`` at 0.2 on a fresh cloud;
     and per level, of the n(n - 1) ECH* weighted means at those three
     levels, ``geometry.convex_hull`` (hull tracing) and
@@ -112,7 +114,7 @@ def planar():
 
 def best(run):
     times = []
-    while len(times) < 3 and sum(times) < 5.0:
+    while (len(times) < 3 or sum(times) < 0.2) and sum(times) < 5.0:
         start = time.perf_counter()
         out = run()
         times.append(time.perf_counter() - start)
@@ -230,8 +232,12 @@ pts = planar()
 cloud = DataCloud(pts)
 TUKEY, ECH = (0.1, 0.2, 0.3), (0.1, 0.5, 0.9)
 
-def tukey_ladder():
-    fresh = DataCloud(pts)
+# the same cloud with a tie: its last point a copy of its first
+tie = pts.copy()
+tie[-1] = tie[0]
+
+def tukey_ladder(points=pts):
+    fresh = DataCloud(points)
     return [tukey_region_2d(fresh, a) for a in TUKEY]
 
 def ech_ladder():
@@ -239,6 +245,7 @@ def ech_ladder():
     return [wm_region_2d(fresh, ECH_STAR, a) for a in ECH]
 
 tukey_s, tukey = best(tukey_ladder)
+tie_s, _ = best(lambda: tukey_ladder(tie))
 ech_s, ech = best(ech_ladder)
 layers = tuple(ContourLayer(a, (r.vertices,)) for a, r in zip(TUKEY + ECH, tukey + ech)
                if r.vertices.shape[0] > 2)
@@ -258,8 +265,8 @@ rings = [np.concatenate([np.einsum("j,kjd->kd", weights(ECH_STAR, n, a), o) for 
 del ordered
 hull_s, _ = best(lambda: [geometry.convex_hull(r) for r in rings])
 ring_s, _ = best(lambda: [geometry.convex_ring_hull(r) for r in rings])
-row = (tukey_s / len(TUKEY), ech_s / len(ECH), json_s / len(layers), peak / 2**20,
-       vertices, json_bytes, hull_s / len(ECH), ring_s / len(ECH))
+row = (tukey_s / len(TUKEY), tie_s / len(TUKEY), ech_s / len(ECH), json_s / len(layers),
+       peak / 2**20, vertices, json_bytes, hull_s / len(ECH), ring_s / len(ECH))
 """
 
 SWEEP = """
@@ -432,7 +439,8 @@ LAYERS = {
     "lp": Layer(LP, ("d2_lp_s", "d2_pivots", "d3_lp_s", "d3_pivots"),
                 "10,27,80,160,320", 60.0, fits=("d2_pivots", "d3_pivots"),
                 fields={"queries": 16}),
-    "region": Layer(REGION, ("tukey_region_s_per_level", "echstar_region_s_per_level",
+    "region": Layer(REGION, ("tukey_region_s_per_level", "tukey_tie_region_s_per_level",
+                             "echstar_region_s_per_level",
                              "json_s_per_layer", "tukey_peak_mb", "vertices", "json_bytes",
                              "hull_s_per_level", "ring_s_per_level"),
                     "27,80,160,400", 300.0),
