@@ -37,7 +37,16 @@ class ScatterEstimator:
     rule: Callable[[DataCloud], tuple[np.ndarray, np.ndarray]]
 
     def estimate(self, cloud: DataCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (center, scatter, cholesky factor); reject non-SPD scatter."""
+        """Return (center, scatter, cholesky factor); reject non-SPD scatter.
+
+        The estimate depends on the cloud and the estimator alone, so the
+        cloud keeps it, per estimator, as read-only arrays (see
+        :meth:`DataCloud.derived`): every later query and region level of
+        the cloud reads the same factor.  A refused scatter keeps nothing.
+        """
+        return cloud.derived(("scatter", self), self._factor)
+
+    def _factor(self, cloud: DataCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         center, scatter = self.rule(cloud)
         center = np.asarray(center, dtype=float).reshape(-1)
         scatter = np.asarray(scatter, dtype=float)
@@ -55,7 +64,11 @@ class ScatterEstimator:
             raise SingularScatterError(
                 f"scatter of estimator {self.name!r} is numerically singular"
             )
-        return center, scatter, chol
+        # copies, so the kept arrays share no memory with what the rule holds
+        kept = tuple(np.array(a) for a in (center, scatter, chol))
+        for arr in kept:
+            arr.setflags(write=False)
+        return kept
 
 
 def _moment_rule(cloud: DataCloud) -> tuple[np.ndarray, np.ndarray]:

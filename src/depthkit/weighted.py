@@ -22,6 +22,7 @@ any dimension; the registry's zonoid depth is that program.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -53,23 +54,44 @@ def _zonoid_rule(n: int, alpha: float) -> np.ndarray:
     return w
 
 
+#: sample sizes whose rank terms the weight rules keep; a bisection asks
+#: for one n some 20 times over, and the benchmark's ops for a handful
+_RANK_TERMS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_RANK_TERMS_KEPT)
+def _ech_star_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log j - log n and log(j - 1) - log n for the ranks j = 1..n, read-only;
+    the first of the second is -inf."""
+    j = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        terms = np.log(j) - math.log(n), np.log(j - 1.0) - math.log(n)
+    for t in terms:
+        t.setflags(write=False)
+    return terms
+
+
+@functools.lru_cache(maxsize=_RANK_TERMS_KEPT)
+def _geometric_terms(n: int) -> np.ndarray:
+    """n - j for the ranks j = 1..n, read-only."""
+    terms = n - np.arange(1, n + 1, dtype=float)
+    terms.setflags(write=False)
+    return terms
+
+
 def _ech_star_rule(n: int, alpha: float) -> np.ndarray:
     # (j^(1/alpha) - (j-1)^(1/alpha)) / n^(1/alpha), computed in log space so
-    # small alpha does not overflow
+    # small alpha does not overflow; exp(-inf) gives the 0 of rank 1
     inv = 1.0 / alpha
-    j = np.arange(1, n + 1, dtype=float)
-    log_hi = inv * (np.log(j) - math.log(n))
-    with np.errstate(divide="ignore"):
-        log_lo = inv * (np.log(j - 1.0) - math.log(n))
-    return np.exp(log_hi) - np.exp(log_lo)
+    log_hi, log_lo = _ech_star_terms(n)
+    return np.exp(inv * log_hi) - np.exp(inv * log_lo)
 
 
 def _geometric_rule(n: int, alpha: float) -> np.ndarray:
     # alpha^(n-j) (1 - alpha) / (1 - alpha^n); the alpha -> 1 limit is uniform
     if alpha >= 1.0 - 1e-13:
         return np.full(n, 1.0 / n)
-    j = np.arange(1, n + 1, dtype=float)
-    return alpha ** (n - j) * (1.0 - alpha) / (1.0 - alpha**n)
+    return alpha ** _geometric_terms(n) * (1.0 - alpha) / (1.0 - alpha**n)
 
 
 @dataclass(frozen=True)
@@ -211,11 +233,15 @@ def _ordered_chunks(cloud: DataCloud, keep: bool = False):
     of pairwise differences), in (k, n, 2) chunks of at most
     ``_ORDER_CHUNK`` directions; none when all points coincide.
 
-    With ``keep`` the chunks are views of one array filled in place: chunks
-    kept in arrays of their own fragment the heap, which raised the peak RSS
-    of the regions benchmark workload by 1.2 MB (glibc malloc, numpy 2.4).
+    Each chunk is stored rank-major, as an (n, k, 2) array whose rank j is
+    one contiguous (k, 2) run, and handed out as its (k, n, 2) transpose:
+    a level weighs the sample rank by rank (:func:`wm_region_2d`).  With
+    ``keep`` the chunks are consecutive segments of one buffer filled in
+    place: chunks kept in arrays of their own fragment the heap, which
+    raised the peak RSS of the regions benchmark workload by 1.2 MB (glibc
+    malloc, numpy 2.4).
     """
-    pts = cloud.points
+    pts, n = cloud.points, cloud.n
     diffs = _pair_differences(cloud)
     if diffs.shape[0] == 0:
         return
@@ -225,19 +251,23 @@ def _ordered_chunks(cloud: DataCloud, keep: bool = False):
     gaps = np.diff(np.concatenate([crit, [crit[0] + 2.0 * np.pi]]))
     mids = (crit + gaps / 2.0) % (2.0 * np.pi)
     dirs = np.column_stack([np.cos(mids), np.sin(mids)])
-    whole = np.empty((dirs.shape[0], cloud.n, 2)) if keep else None
+    whole = np.empty(dirs.shape[0] * n * 2) if keep else None
     for start in range(0, dirs.shape[0], _ORDER_CHUNK):
-        stop = start + _ORDER_CHUNK
-        order = np.argsort(dirs[start:stop] @ pts.T, axis=1, kind="stable")
-        # the indices are in range; "clip" lets take write into out unbuffered
-        yield np.take(pts, order, axis=0, mode="clip",
-                      out=None if whole is None else whole[start:stop])
+        k = min(_ORDER_CHUNK, dirs.shape[0] - start)
+        order = np.argsort(dirs[start:start + k] @ pts.T, axis=1, kind="stable")
+        segment = (np.empty((n, k, 2)) if whole is None
+                   else whole[start * n * 2:(start + k) * n * 2].reshape(n, k, 2))
+        # the indices are in range; "clip" lets take write into the segment
+        # unbuffered, with no chunk-sized copy of the gathered points
+        np.take(pts, order.T, axis=0, mode="clip", out=segment)
+        yield segment.transpose(1, 0, 2)
 
 
 def _ordered_of(cloud: DataCloud):
-    """The chunks of :func:`_ordered_chunks`.  They depend on the cloud
-    alone, so every scheme and level shares them: the cloud keeps them when
-    the whole (k, n, 2) array fits ``core.BATCH_BYTES`` for every
+    """The chunks of :func:`_ordered_chunks`, each a (k, n, 2) view of a
+    rank-major segment.  They depend on the cloud alone, so every scheme
+    and level shares them: the cloud keeps them, as consecutive segments
+    of one buffer, when all 16 n k bytes fit ``core.BATCH_BYTES`` for every
     k <= n(n - 1) (n <= 101 at the default budget; 8.1 MB at n = 80), and
     they are built afresh for each call otherwise.  There are none when all
     points coincide.
@@ -258,7 +288,8 @@ def wm_region_2d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> Convex
     the intervals the means support the region in turn, counter-clockwise,
     so :func:`geometry.convex_ring_hull` reads the polygon off that ring
     instead of tracing the hull of all of them.  The ordered samples depend
-    on the cloud alone (see :func:`_ordered_of`); a level only weighs them.
+    on the cloud alone (see :func:`_ordered_of`); a level only weighs them,
+    rank by rank over the contiguous run of each rank.
     """
     cloud.require_dim(2)
     w = weights(scheme, cloud.n, alpha)
@@ -266,7 +297,16 @@ def wm_region_2d(cloud: DataCloud, scheme: WeightScheme, alpha: float) -> Convex
     # n - n alpha): each mean is summed over the ranks from the first
     # nonzero weight on, bitwise the sum over all ranks
     j0 = int(np.argmax(w != 0.0))
-    means = [np.einsum("j,kjd->kd", w[j0:], ordered[:, j0:]) for ordered in _ordered_of(cloud)]
+    means = []
+    for ordered in _ordered_of(cloud):
+        # rank by rank from zero, as np.einsum("j,kjd->kd", w, ordered)
+        # accumulates, over each rank's contiguous run
+        mean = np.zeros((ordered.shape[0], 2))
+        term = np.empty_like(mean)
+        for wj, run in zip(w[j0:].tolist(), ordered.transpose(1, 0, 2)[j0:]):
+            np.multiply(run, wj, out=term)
+            mean += term
+        means.append(mean)
     if not means:
         return ConvexRegion.single(cloud.points[0])
     return ConvexRegion(2, convex_ring_hull(np.concatenate(means)))
@@ -415,9 +455,16 @@ class _Levels:
         self._supports: dict[tuple[int, float], np.ndarray] = {}
 
     def weights_at(self, alpha: float) -> np.ndarray:
-        # not kept: a batch's small weight vectors, once freed, sit in
-        # numpy's buffer cache and keep the heap from shrinking (4 MB more
-        # peak RSS over the benchmark's depth --all runs)
+        """The scheme's weights at ``alpha``, formed afresh on each call.
+
+        Not kept: a batch's small weight vectors, once freed, sit in
+        numpy's buffer cache and keep the heap from shrinking (4 MB more
+        peak RSS over the benchmark's depth --all runs).  What does not
+        depend on alpha is kept by the rule instead: the ECH* and
+        geometric rules read their rank terms from a per-n cache
+        (:func:`_ech_star_terms`, :func:`_geometric_terms`), so a step
+        costs two exps or one power.
+        """
         return weights(self.scheme, self.n, alpha)
 
     def support_at(self, block: int, proj: np.ndarray, alpha: float) -> np.ndarray:
